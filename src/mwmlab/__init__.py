@@ -42,7 +42,6 @@ from .matching import (
 )
 from .policies import (
     POLICY_NAMES,
-    decide,
     decide_fixed_order,
     decide_greedy_lcq,
     decide_mwm,
@@ -51,8 +50,6 @@ from .policies import (
 from .queueing import (
     SamplePath,
     SystemParams,
-    sample_arrivals,
-    sample_connectivity,
     serve,
     step,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "TraceRecord",
     "balancing_condition",
     "coupled_compare",
-    "decide",
     "decide_fixed_order",
     "decide_greedy_lcq",
     "decide_mwm",
@@ -91,8 +87,6 @@ __all__ = [
     "register_cost_function",
     "run_experiment",
     "run_replication",
-    "sample_arrivals",
-    "sample_connectivity",
     "serve",
     "step",
     "sweep_lemmas",

@@ -3,9 +3,11 @@
 The one-step relation holds between two equal-length vectors when one is a
 componentwise reduction of the other, a transposition of two entries, or a
 balancing interchange (move one packet from a strictly larger entry to a
-strictly smaller one without overshooting). Its transitive closure is a
-partial order; the cost functions registered here are monotone with respect
-to it.
+strictly smaller one without overshooting). Its transitive closure is weak
+submajorization (Marshall, Olkin & Arnold, *Inequalities: Theory of
+Majorization*, 5.A.9; Muirhead 1903 for integer unit transfers), so it is
+tested in closed form on sorted prefix sums. The cost functions registered
+here are monotone with respect to it.
 
 A balancing server reallocation replaces the slot's matching with one whose
 post-service vector either componentwise decreases with a strict decrease
@@ -32,11 +34,7 @@ from .matching import (
     validate_matching,
     weight_matrix,
 )
-from .queueing import QueueState, serve
-
-# Breadth-first search guards; beyond these the reachable set is too large.
-PRECEQ_MAX_SUM = 24
-PRECEQ_MAX_LEN = 6
+from .queueing import QueueState, serve, validate_state
 
 REDUCTION = "reduction"
 TRANSPOSITION = "transposition"
@@ -91,82 +89,34 @@ def preceq_one(x_tilde: Sequence[int], x: Sequence[int]) -> OrderStep | None:
     return None
 
 
-def _successors(v: QueueState) -> Iterator[QueueState]:
-    """Single-step neighbors generating the same closure as the full relation.
-
-    Unit reductions stand in for arbitrary reductions: any componentwise
-    reduction is a chain of them.
-    """
-    n = len(v)
-    for i in range(n):
-        if v[i] > 0:
-            yield v[:i] + (v[i] - 1,) + v[i + 1:]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i] != v[j]:
-                w = list(v)
-                w[i], w[j] = w[j], w[i]
-                yield tuple(w)
-    for i in range(n):
-        for j in range(n):
-            if i != j and v[j] >= v[i] + 2:
-                w = list(v)
-                w[i] += 1
-                w[j] -= 1
-                yield tuple(w)
-
-
-def _check_search_guards(x: Sequence[int]) -> None:
-    if len(x) > PRECEQ_MAX_LEN:
-        raise ValueError(
-            f"vector length {len(x)} exceeds search guard {PRECEQ_MAX_LEN}"
-        )
-    if sum(x) > PRECEQ_MAX_SUM:
-        raise ValueError(
-            f"vector sum {sum(x)} exceeds search guard {PRECEQ_MAX_SUM}"
-        )
-
-
-def reachable_below(x: Sequence[int]) -> set[QueueState]:
-    """Every vector reachable from ``x``, i.e. the full lower set of ``x``."""
-    _check_search_guards(x)
-    start = tuple(int(v) for v in x)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for s in _successors(v):
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return seen
-
-
 def preceq_p(x_tilde: Sequence[int], x: Sequence[int]) -> bool:
     """Whether ``x_tilde`` is below ``x`` in the transitive closure.
 
-    Breadth-first search from ``x`` with early exit; every step preserves or
-    lowers the component sum, so the search space is finite.
+    The closure is weak submajorization (MOA 5.A.9): with both vectors
+    sorted in decreasing order, every prefix sum of ``x_tilde`` is at most
+    the matching prefix sum of ``x``.
     """
     _check_same_length(x_tilde, x)
-    _check_search_guards(x)
-    target = tuple(int(v) for v in x_tilde)
-    start = tuple(int(v) for v in x)
-    if target == start:
-        return True
-    if sum(target) > sum(start):
-        return False
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for s in _successors(v):
-            if s == target:
-                return True
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return False
+    lower = sorted(validate_state(x_tilde), reverse=True)
+    upper = sorted(validate_state(x), reverse=True)
+    run = 0
+    for a, b in zip(lower, upper):
+        run += b - a
+        if run < 0:
+            return False
+    return True
+
+
+def reachable_below(x: Sequence[int]) -> set[QueueState]:
+    """Every vector reachable from ``x``, i.e. the full lower set of ``x``.
+
+    No member has an entry above ``max(x)``, so the set is the part of
+    ``[0..max(x)]^N`` that passes ``preceq_p``.
+    """
+    top = validate_state(x)
+    return {
+        v for v in product(range(max(top) + 1), repeat=len(top)) if preceq_p(v, top)
+    }
 
 
 # --- cost functions -------------------------------------------------------
@@ -217,7 +167,10 @@ def register_cost_function(
 
     Only functions that never decrease when moving up the order may be
     registered; the check runs on ``pairs`` (default: a fixed generated
-    sample) and a single violation rejects the candidate.
+    sample) and a single violation rejects the candidate. The functions
+    monotone in this order are the increasing Schur-convex ones (MOA 3.A.8);
+    ``total_occupancy``, ``max_queue`` and ``sum_of_squares`` are all in
+    that class.
     """
     check = list(pairs) if pairs is not None else default_monotonicity_pairs()
     bad = verify_monotone_on_pairs(fn, check)

@@ -249,10 +249,7 @@ def _cmd_audit_order(args) -> int:
         raise CliError(
             f"baseline must be one of {policies.POLICY_NAMES}, got {baseline!r}"
         )
-    try:
-        report = harness.per_slot_preceq_audit(config, baseline)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = harness.per_slot_preceq_audit(config, baseline)
     text = harness.format_audit_report(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

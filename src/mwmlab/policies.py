@@ -20,7 +20,6 @@ GREEDY_LCQ = "greedy_lcq"
 FIXED_ORDER = "fixed_order"
 
 POLICY_NAMES = (MWM, RANDOM_MAXIMAL, GREEDY_LCQ, FIXED_ORDER)
-RANDOMIZED_POLICIES = frozenset({RANDOM_MAXIMAL})
 
 
 def decide_mwm(x_prev: Sequence[int], c: Sequence[Sequence[int]]) -> Matching:
@@ -133,19 +132,3 @@ DETERMINISTIC_DECIDERS = {
     GREEDY_LCQ: decide_greedy_lcq,
     FIXED_ORDER: decide_fixed_order,
 }
-
-
-def decide(
-    name: str,
-    x_prev: Sequence[int],
-    c: Sequence[Sequence[int]],
-    gen: np.random.Generator | None = None,
-) -> Matching:
-    """Dispatch to a registered policy by name."""
-    if name in DETERMINISTIC_DECIDERS:
-        return DETERMINISTIC_DECIDERS[name](x_prev, c)
-    if name == RANDOM_MAXIMAL:
-        if gen is None:
-            raise ValueError("random_maximal needs a policy-private generator")
-        return decide_random_maximal(x_prev, c, gen)
-    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")

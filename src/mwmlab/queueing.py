@@ -45,10 +45,6 @@ class SystemParams:
             )
 
 
-def zero_state(n_queues: int) -> QueueState:
-    return (0,) * n_queues
-
-
 def validate_state(x: Sequence[int]) -> QueueState:
     out = tuple(int(v) for v in x)
     if len(out) < 1:
@@ -59,21 +55,6 @@ def validate_state(x: Sequence[int]) -> QueueState:
         if v < 0:
             raise ValueError(f"queue length [{n}] = {v} is negative")
     return out
-
-
-def validate_connectivity(c: Sequence[Sequence[int]], n_queues: int) -> ConnectivityMatrix:
-    if len(c) != n_queues:
-        raise ValueError(f"connectivity has {len(c)} rows for {n_queues} queues")
-    n_servers = len(c[0])
-    out = []
-    for n, row in enumerate(c):
-        if len(row) != n_servers:
-            raise ValueError(f"connectivity row {n} has length {len(row)}")
-        for k, v in enumerate(row):
-            if v not in (0, 1):
-                raise ValueError(f"connectivity [{n}][{k}] = {v!r} is not binary")
-        out.append(tuple(int(v) for v in row))
-    return tuple(out)
 
 
 def serve(
@@ -119,39 +100,6 @@ def step(
     if len(a) != len(served):
         raise ValueError(f"arrival vector has length {len(a)} for {len(served)} queues")
     return tuple(s + ai for s, ai in zip(served, a))
-
-
-def sample_connectivity(params: SystemParams, gen: np.random.Generator) -> ConnectivityMatrix:
-    """Draw one slot's connectivity matrix; entries are iid Bernoulli."""
-    u = gen.random((params.n_queues, params.n_servers))
-    return tuple(
-        tuple(int(v) for v in row) for row in (u < params.connect_prob).tolist()
-    )
-
-
-def sample_arrivals(params: SystemParams, gen: np.random.Generator) -> ArrivalVector:
-    """Draw one slot's arrival vector; entries are iid Bernoulli."""
-    u = gen.random(params.n_queues)
-    return tuple(int(v) for v in (u < params.arrival_prob).tolist())
-
-
-def connectivity_stream_at(
-    params: SystemParams, seed: int, replication: int, slot: int
-) -> np.random.Generator:
-    """Connectivity stream positioned at the start of ``slot``."""
-    return rng.slot_stream(
-        seed, replication, rng.STREAM_CONNECTIVITY, slot,
-        params.n_queues * params.n_servers,
-    )
-
-
-def arrival_stream_at(
-    params: SystemParams, seed: int, replication: int, slot: int
-) -> np.random.Generator:
-    """Arrival stream positioned at the start of ``slot``."""
-    return rng.slot_stream(
-        seed, replication, rng.STREAM_ARRIVALS, slot, params.n_queues
-    )
 
 
 class SamplePath:

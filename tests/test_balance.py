@@ -1,10 +1,12 @@
 """Partial-order and reallocation verifier tests.
 
-The independent oracle for the transitive closure is weak submajorization:
-descending prefix sums of the lower vector never exceed the upper vector's.
+The independent oracle for the transitive closure is a breadth-first search
+over the one-step moves, checked against the closed-form ``preceq_p`` on
+every small pair.
 """
 
 import random
+from collections import deque
 from itertools import product
 
 import pytest
@@ -12,8 +14,6 @@ import pytest
 from mwmlab.balance import (
     BALANCING_INTERCHANGE,
     COST_FUNCTIONS,
-    PRECEQ_MAX_LEN,
-    PRECEQ_MAX_SUM,
     REDUCTION,
     TRANSPOSITION,
     BalancingChainError,
@@ -39,17 +39,42 @@ from mwmlab.policies import decide_mwm
 from mwmlab.queueing import serve
 
 
-def weakly_submajorized(below, above):
-    """Oracle: descending prefix sums of `below` never exceed `above`'s."""
-    a = sorted(below, reverse=True)
-    b = sorted(above, reverse=True)
-    run_a = run_b = 0
-    for va, vb in zip(a, b):
-        run_a += va
-        run_b += vb
-        if run_a > run_b:
-            return False
-    return True
+def _successors(v):
+    """Single-step neighbors generating the same closure as the full relation.
+
+    Unit reductions stand in for arbitrary reductions: any componentwise
+    reduction is a chain of them.
+    """
+    n = len(v)
+    for i in range(n):
+        if v[i] > 0:
+            yield v[:i] + (v[i] - 1,) + v[i + 1:]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if v[i] != v[j]:
+                w = list(v)
+                w[i], w[j] = w[j], w[i]
+                yield tuple(w)
+    for i in range(n):
+        for j in range(n):
+            if i != j and v[j] >= v[i] + 2:
+                w = list(v)
+                w[i] += 1
+                w[j] -= 1
+                yield tuple(w)
+
+
+def bfs_lower_set(x):
+    """Reference closure: every vector reachable from ``x`` by one-step moves."""
+    start = tuple(x)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for s in _successors(queue.popleft()):
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return seen
 
 
 class TestPreceqOne:
@@ -89,21 +114,34 @@ class TestPreceqP:
     def test_total_cannot_grow(self):
         assert not preceq_p((4, 0), (3, 0))
 
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            preceq_p((0,) * 7, (0,) * 7)
-        with pytest.raises(ValueError):
-            preceq_p((0, 0), (20, 5))
+    def test_no_size_limit(self):
+        assert preceq_p((0,) * 7, (0,) * 7)
+        assert preceq_p((0, 0), (20, 5))
+        assert preceq_p((5,) * 8, (40,) + (0,) * 7)
+        assert not preceq_p((0, 26), (20, 5))
         with pytest.raises(ValueError):
             preceq_p((1,), (1, 2))
-        assert PRECEQ_MAX_LEN == 6 and PRECEQ_MAX_SUM == 24
+
+    def test_rejects_non_queue_vectors(self):
+        with pytest.raises(ValueError):
+            preceq_p((1.5,), (1,))
+        with pytest.raises(ValueError):
+            reachable_below((-1, 2))
+        with pytest.raises(ValueError):
+            preceq_p((-1,), (0,))
 
     def test_agrees_with_submajorization_oracle_exhaustively(self):
-        for n in (1, 2, 3):
-            for above in product(range(4), repeat=n):
-                lower_set = reachable_below(above)
-                for below in product(range(4), repeat=n):
-                    assert (below in lower_set) == weakly_submajorized(below, above)
+        # every pair with n <= 4, entries <= 4 and sums <= 12: 364,375 pairs
+        pairs = 0
+        for n in (1, 2, 3, 4):
+            vectors = [v for v in product(range(5), repeat=n) if sum(v) <= 12]
+            for above in vectors:
+                lower_set = bfs_lower_set(above)
+                assert reachable_below(above) == lower_set
+                for below in vectors:
+                    assert preceq_p(below, above) == (below in lower_set)
+                    pairs += 1
+        assert pairs == 364_375
 
     def test_transitivity_on_random_triples(self):
         rnd = random.Random(2024)

@@ -164,15 +164,16 @@ class TestAuditOrder:
         assert code == 2
         assert "baseline" in err
 
-    def test_guard_violation_reported(self, capsys, tmp_path):
+    def test_five_queues_long_horizon_checks_every_slot(self, capsys, tmp_path):
         code, out, err = run_cli(
-            ["audit-order", "--queues", "2", "--servers", "1", "--p", "0.5",
+            ["audit-order", "--queues", "5", "--servers", "2", "--p", "0.5",
              "--lambda", "0.2", "--horizon", "80", "--replications", "3",
              "--baseline", "fixed_order", "--out-dir", str(tmp_path)],
             capsys,
         )
-        assert code == 2
-        assert "horizon" in err
+        assert code == 0
+        assert "slots checked: 240" in out
+        assert "slots skipped by search guard: 0" in out
 
 
 class TestSimulateFiles:

@@ -18,10 +18,10 @@ from mwmlab.harness import (
     sampled_slots,
     trace_csv_lines,
 )
-from mwmlab.queueing import SamplePath, SystemParams, sample_arrivals, sample_connectivity, step
-from mwmlab.queueing import arrival_stream_at, connectivity_stream_at
+from mwmlab.queueing import SamplePath, SystemParams, step
 from mwmlab import policies as pol
 from mwmlab import rng
+from test_balance import bfs_lower_set
 
 
 def make_config(**overrides):
@@ -115,21 +115,20 @@ class TestRunReplication:
         for policy in cfg.policies:
             records = run_replication(cfg, 2, policy)
             x = cfg.start_state()
+            n, k = cfg.params.n_queues, cfg.params.n_servers
             for t in range(1, cfg.horizon + 1):
-                c = sample_connectivity(
-                    cfg.params, connectivity_stream_at(cfg.params, cfg.seed, 2, t)
+                u_c = rng.slot_stream(cfg.seed, 2, rng.STREAM_CONNECTIVITY, t, n * k)
+                c = tuple(
+                    tuple(int(v) for v in row)
+                    for row in (u_c.random((n, k)) < cfg.params.connect_prob).tolist()
                 )
-                a = sample_arrivals(
-                    cfg.params, arrival_stream_at(cfg.params, cfg.seed, 2, t)
-                )
+                u_a = rng.slot_stream(cfg.seed, 2, rng.STREAM_ARRIVALS, t, n)
+                a = tuple(int(v) for v in (u_a.random(n) < cfg.params.arrival_prob).tolist())
                 if policy == "random_maximal":
-                    gen = rng.slot_stream(
-                        cfg.seed, 2, rng.STREAM_POLICY, t,
-                        cfg.params.n_queues * cfg.params.n_servers,
-                    )
-                    m = pol.decide(policy, x, c, gen)
+                    gen = rng.slot_stream(cfg.seed, 2, rng.STREAM_POLICY, t, n * k)
+                    m = pol.decide_random_maximal(x, c, gen)
                 else:
-                    m = pol.decide(policy, x, c)
+                    m = pol.DETERMINISTIC_DECIDERS[policy](x, c)
                 from mwmlab.matching import matching_weight
 
                 mw = matching_weight(x, c, m)
@@ -284,18 +283,30 @@ class TestAudit:
         )
         report = per_slot_preceq_audit(cfg, "fixed_order")
         assert 0.0 <= report.fraction_holding <= 1.0
-        assert report.slots_checked + len(report.skipped_guard) == 50 * 20
+        assert report.slots_checked == 50 * 20
         text = format_audit_report(report)
         assert "fraction holding" in text
 
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            per_slot_preceq_audit(make_config(horizon=51), "fixed_order")
-        big = make_config(params=SystemParams(5, 2, 0.5, 0.2))
-        with pytest.raises(ValueError):
-            per_slot_preceq_audit(big, "fixed_order")
+    def test_unknown_baseline(self):
         with pytest.raises(ValueError):
             per_slot_preceq_audit(make_config(), "nope")
+
+    def test_five_queues_long_horizon_matches_oracle(self):
+        cfg = make_config(
+            params=SystemParams(5, 2, 0.5, 0.2), horizon=80, replications=3
+        )
+        report = per_slot_preceq_audit(cfg, "fixed_order")
+        assert report.slots_checked == 3 * 80
+        holding = 0
+        for r in range(cfg.replications):
+            path = SamplePath(cfg.params, cfg.seed, r, cfg.horizon)
+            xm = _simulate_one(cfg, path, "mwm", (), keep_states=True).states
+            xb = _simulate_one(cfg, path, "fixed_order", (), keep_states=True).states
+            holding += sum(
+                xm[t] in bfs_lower_set(xb[t]) for t in range(1, cfg.horizon + 1)
+            )
+        assert report.slots_holding == holding
+        assert len(report.failures) == report.slots_checked - holding
 
 
 class TestCsvShapes:

@@ -11,11 +11,11 @@ from mwmlab.matching import matching_weight, validate_matching
 from mwmlab.policies import (
     DETERMINISTIC_DECIDERS,
     POLICY_NAMES,
-    decide,
     decide_fixed_order,
     decide_greedy_lcq,
     decide_mwm,
     decide_random_maximal,
+    random_maximal_from_uniforms,
 )
 
 
@@ -162,17 +162,19 @@ class TestDispatch:
     def test_known_names(self):
         assert set(POLICY_NAMES) == {"mwm", "random_maximal", "greedy_lcq", "fixed_order"}
         x, c = (2, 1), ((1, 1), (1, 1))
-        assert decide("mwm", x, c) == decide_mwm(x, c)
-        assert decide("greedy_lcq", x, c) == decide_greedy_lcq(x, c)
-        assert decide("fixed_order", x, c) == decide_fixed_order(x, c)
-        assert decide("random_maximal", x, c, policy_gen(1)) == decide_random_maximal(
-            x, c, policy_gen(1)
-        )
+        assert DETERMINISTIC_DECIDERS["mwm"](x, c) == decide_mwm(x, c)
+        assert DETERMINISTIC_DECIDERS["greedy_lcq"](x, c) == decide_greedy_lcq(x, c)
+        assert DETERMINISTIC_DECIDERS["fixed_order"](x, c) == decide_fixed_order(x, c)
+        assert set(DETERMINISTIC_DECIDERS) | {"random_maximal"} == set(POLICY_NAMES)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            decide("round_robin", (1,), ((1,),))
+        assert "round_robin" not in DETERMINISTIC_DECIDERS
+        assert "round_robin" not in POLICY_NAMES
 
     def test_random_policy_needs_generator(self):
-        with pytest.raises(ValueError):
-            decide("random_maximal", (1,), ((1,),))
+        # the randomized policy is never dispatched without its private stream
+        assert "random_maximal" not in DETERMINISTIC_DECIDERS
+        x, c = (2, 1), ((1, 1), (1, 1))
+        assert decide_random_maximal(x, c, policy_gen(1)) == (
+            random_maximal_from_uniforms(x, c, policy_gen(1).random(4))
+        )

@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mwmlab import rng
 from mwmlab.matching import enumerate_matchings
 from mwmlab.queueing import (
     SamplePath,
     SystemParams,
-    arrival_stream_at,
-    connectivity_stream_at,
-    sample_arrivals,
-    sample_connectivity,
     serve,
     step,
     validate_state,
-    zero_state,
 )
 
 
@@ -108,13 +104,12 @@ class TestServeAndStep:
 
 class TestSampling:
     def test_degenerate_probabilities(self):
-        gen = np.random.default_rng(0)
-        p0 = SystemParams(3, 2, 0.0, 0.0)
-        assert sample_connectivity(p0, gen) == ((0, 0), (0, 0), (0, 0))
-        assert sample_arrivals(p0, gen) == (0, 0, 0)
-        p1 = SystemParams(3, 2, 1.0, 1.0)
-        assert sample_connectivity(p1, gen) == ((1, 1), (1, 1), (1, 1))
-        assert sample_arrivals(p1, gen) == (1, 1, 1)
+        p0 = SamplePath(SystemParams(3, 2, 0.0, 0.0), seed=0, replication=0, horizon=1)
+        assert p0.connectivity_at(1) == ((0, 0), (0, 0), (0, 0))
+        assert p0.arrivals_at(1) == (0, 0, 0)
+        p1 = SamplePath(SystemParams(3, 2, 1.0, 1.0), seed=0, replication=0, horizon=1)
+        assert p1.connectivity_at(1) == ((1, 1), (1, 1), (1, 1))
+        assert p1.arrivals_at(1) == (1, 1, 1)
 
     def test_connectivity_mean_near_p(self):
         params = SystemParams(2, 2, 0.5, 0.3)
@@ -134,10 +129,12 @@ class TestStreamLayout:
         params = SystemParams(3, 2, 0.35, 0.6)
         path = SamplePath(params, seed=99, replication=4, horizon=20)
         for t in (1, 2, 7, 20):
-            gen_c = connectivity_stream_at(params, 99, 4, t)
-            assert sample_connectivity(params, gen_c) == path.connectivity_at(t)
-            gen_a = arrival_stream_at(params, 99, 4, t)
-            assert sample_arrivals(params, gen_a) == path.arrivals_at(t)
+            gen_c = rng.slot_stream(99, 4, rng.STREAM_CONNECTIVITY, t, 6)
+            c = (gen_c.random((3, 2)) < params.connect_prob).astype(int).tolist()
+            assert tuple(tuple(row) for row in c) == path.connectivity_at(t)
+            gen_a = rng.slot_stream(99, 4, rng.STREAM_ARRIVALS, t, 3)
+            a = (gen_a.random(3) < params.arrival_prob).astype(int).tolist()
+            assert tuple(a) == path.arrivals_at(t)
 
     def test_paths_reproducible_and_seed_sensitive(self):
         params = SystemParams(2, 2, 0.5, 0.5)
@@ -176,6 +173,3 @@ class TestValidation:
             validate_state([-1])
         with pytest.raises(ValueError):
             validate_state([1.5])
-
-    def test_zero_state(self):
-        assert zero_state(3) == (0, 0, 0)
