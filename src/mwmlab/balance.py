@@ -20,7 +20,6 @@ exactly when the matching weight is below the optimum.
 from __future__ import annotations
 
 import time
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import product
@@ -219,20 +218,72 @@ def balancing_condition(
     return None
 
 
+def _reallocation_graph(
+    x_prev: Sequence[int],
+    c: Sequence[Sequence[int]],
+    matchings: Sequence[Matching] | None = None,
+) -> tuple[Sequence[Matching], list[int], list[list[tuple[int, str]]]]:
+    """Every matching of one instance, its weight and its balancing reallocations.
+
+    ``edges[i]`` lists ``(j, condition)`` for each matching ``j`` that is a
+    balancing reallocation of matching ``i``, in enumeration order. Callers
+    that sweep many instances of one shape pass ``matchings`` in.
+    """
+    if matchings is None:
+        matchings = list(enumerate_matchings(len(x_prev), len(c[0])))
+    served = [serve(x_prev, c, m) for m in matchings]
+    weights = [sum(x_prev[n] * c[n][k] for n, k in m) for m in matchings]
+    edges: list[list[tuple[int, str]]] = []
+    for i, base in enumerate(served):
+        out = []
+        for j, other in enumerate(served):
+            if j != i:
+                cond = balancing_condition(base, other)
+                if cond is not None:
+                    out.append((j, cond))
+        edges.append(out)
+    return matchings, weights, edges
+
+
+def _distances_to_optimum(
+    weights: Sequence[int], edges: Sequence[Sequence[tuple[int, str]]]
+) -> list[int | None]:
+    """Fewest reallocations from each matching to a maximum weight one.
+
+    Breadth-first search backwards from every optimum matching; None marks a
+    matching from which no optimum is reachable.
+    """
+    incoming: list[list[int]] = [[] for _ in weights]
+    for i, out in enumerate(edges):
+        for j, _ in out:
+            incoming[j].append(i)
+    opt = max(weights)
+    dist: list[int | None] = [0 if w == opt else None for w in weights]
+    queue = [i for i, d in enumerate(dist) if d == 0]
+    for j in queue:  # items appended during the loop are visited in order
+        for i in incoming[j]:
+            if dist[i] is None:
+                dist[i] = dist[j] + 1
+                queue.append(i)
+    return dist
+
+
+def _locate(
+    x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
+) -> tuple[Sequence[Matching], list[int], list[list[tuple[int, str]]], int]:
+    """The instance's reallocation graph and the index of ``m`` in it."""
+    original = validate_matching(m, len(x_prev), len(c[0]))
+    matchings, weights, edges = _reallocation_graph(x_prev, c)
+    return matchings, weights, edges, matchings.index(original)
+
+
 def iter_balancing_reallocations(
     x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
 ) -> Iterator[ReallocationWitness]:
     """All balancing server reallocations of ``m``, in enumeration order."""
-    n_queues = len(x_prev)
-    n_servers = len(c[0])
-    original = validate_matching(m, n_queues, n_servers)
-    x_served = serve(x_prev, c, original)
-    for cand in enumerate_matchings(n_queues, n_servers):
-        if cand == original:
-            continue
-        cond = balancing_condition(x_served, serve(x_prev, c, cand))
-        if cond is not None:
-            yield ReallocationWitness(original, cand, cond)
+    matchings, _, edges, i = _locate(x_prev, c, m)
+    for j, cond in edges[i]:
+        yield ReallocationWitness(matchings[i], matchings[j], cond)
 
 
 def find_balancing_reallocation(
@@ -269,10 +320,8 @@ def verify_lemma2_corollary1(
     x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
 ) -> bool:
     """Biconditional: weight below optimum iff some reallocation exists."""
-    opt = matching_weight(x_prev, c, max_weight_matching(weight_matrix(x_prev, c)))
-    below = matching_weight(x_prev, c, m) < opt
-    exists = find_balancing_reallocation(x_prev, c, m) is not None
-    return below == exists
+    _, weights, edges, i = _locate(x_prev, c, m)
+    return (weights[i] < max(weights)) == bool(edges[i])
 
 
 def distance_to_mwm(
@@ -280,37 +329,17 @@ def distance_to_mwm(
 ) -> int:
     """Fewest balancing reallocations from ``m`` to any maximum weight matching.
 
-    Breadth-first search over the matching graph whose directed edges are
-    single balancing server reallocations. Raises BalancingChainError if no
-    maximum weight matching is reachable, which would be a counterexample.
+    Raises BalancingChainError if no maximum weight matching is reachable,
+    which would be a counterexample.
     """
-    n_queues = len(x_prev)
-    n_servers = len(c[0])
-    start = validate_matching(m, n_queues, n_servers)
-    candidates = list(enumerate_matchings(n_queues, n_servers))
-    weights = {cand: matching_weight(x_prev, c, cand) for cand in candidates}
-    served = {cand: serve(x_prev, c, cand) for cand in candidates}
-    opt = max(weights.values())
-    if weights[start] == opt:
-        return 0
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        cur, dist = queue.popleft()
-        base = served[cur]
-        for cand in candidates:
-            if cand in seen:
-                continue
-            if balancing_condition(base, served[cand]) is None:
-                continue
-            if weights[cand] == opt:
-                return dist + 1
-            seen.add(cand)
-            queue.append((cand, dist + 1))
-    raise BalancingChainError(
-        f"no maximum weight matching reachable from {start} "
-        f"(x_prev={tuple(x_prev)}, c={tuple(tuple(r) for r in c)})"
-    )
+    matchings, weights, edges, i = _locate(x_prev, c, m)
+    dist = _distances_to_optimum(weights, edges)[i]
+    if dist is None:
+        raise BalancingChainError(
+            f"no maximum weight matching reachable from {matchings[i]} "
+            f"(x_prev={tuple(x_prev)}, c={tuple(tuple(r) for r in c)})"
+        )
+    return dist
 
 
 # --- exhaustive sweep ------------------------------------------------------
@@ -360,18 +389,20 @@ def sweep_lemmas(max_n: int, max_k: int, max_x: int) -> LemmaSweepReport:
     * chained reallocations reach a maximum weight matching;
     * the exact solver agrees with enumeration on the optimal weight.
     """
+    if max_n < 1 or max_k < 1 or max_x < 0:
+        raise ValueError(
+            f"sweep ranges must have max_n >= 1, max_k >= 1 and max_x >= 0, "
+            f"got {max_n}, {max_k} and {max_x}"
+        )
     report = LemmaSweepReport(max_n=max_n, max_k=max_k, max_x=max_x)
     t0 = time.perf_counter()
     for n_queues in range(1, max_n + 1):
         for n_servers in range(1, max_k + 1):
             matchings = list(enumerate_matchings(n_queues, n_servers))
-            n_m = len(matchings)
             for x in product(range(max_x + 1), repeat=n_queues):
                 for c in _all_connectivities(n_queues, n_servers):
-                    served = [serve(x, c, m) for m in matchings]
-                    mw = [
-                        sum(x[n] * c[n][k] for n, k in m) for m in matchings
-                    ]
+                    _, mw, edges = _reallocation_graph(x, c, matchings)
+                    dist = _distances_to_optimum(mw, edges)
                     opt = max(mw)
                     inst = f"N={n_queues} K={n_servers} x={x} c={c}"
 
@@ -379,49 +410,21 @@ def sweep_lemmas(max_n: int, max_k: int, max_x: int) -> LemmaSweepReport:
                     if sum(x[n] * c[n][k] for n, k in solved) != opt:
                         report.solver_mismatches.append(f"{inst} solver={solved}")
 
-                    # condition[i][j] holds when matching j is a balancing
-                    # reallocation of matching i
-                    out_edges: list[list[int]] = [[] for _ in range(n_m)]
-                    for i in range(n_m):
-                        base = served[i]
-                        for j in range(n_m):
-                            if i == j:
-                                continue
-                            if balancing_condition(base, served[j]) is not None:
-                                out_edges[i].append(j)
-
-                    report.instances += n_m
-                    for i in range(n_m):
-                        for j in out_edges[i]:
+                    report.instances += len(matchings)
+                    for i, out in enumerate(edges):
+                        for j, _ in out:
                             report.reallocation_pairs += 1
                             if mw[j] <= mw[i]:
                                 report.weight_increase_violations.append(
                                     f"{inst} m={matchings[i]} -> {matchings[j]} "
                                     f"weight {mw[i]} -> {mw[j]}"
                                 )
-                        if (mw[i] < opt) != bool(out_edges[i]):
+                        if (mw[i] < opt) != bool(out):
                             report.biconditional_violations.append(
                                 f"{inst} m={matchings[i]} weight={mw[i]} opt={opt} "
-                                f"reallocations={len(out_edges[i])}"
+                                f"reallocations={len(out)}"
                             )
-
-                    # reverse reachability from the optimum-weight matchings
-                    reached = [False] * n_m
-                    stack = [i for i in range(n_m) if mw[i] == opt]
-                    for i in stack:
-                        reached[i] = True
-                    incoming: list[list[int]] = [[] for _ in range(n_m)]
-                    for i in range(n_m):
-                        for j in out_edges[i]:
-                            incoming[j].append(i)
-                    while stack:
-                        j = stack.pop()
-                        for i in incoming[j]:
-                            if not reached[i]:
-                                reached[i] = True
-                                stack.append(i)
-                    for i in range(n_m):
-                        if not reached[i]:
+                        if dist[i] is None:
                             report.unreachable_optimum.append(
                                 f"{inst} m={matchings[i]} weight={mw[i]} opt={opt}"
                             )

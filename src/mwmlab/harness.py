@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from . import policies, rng
 from .balance import COST_FUNCTIONS, preceq_p
@@ -157,17 +157,34 @@ class _PolicyRun:
     occupancy: list[int]
     records: list[TraceRecord]
     states: list[QueueState] | None
-    digest: str
 
 
-# Decisions are pure functions of (queue lengths, connectivity), so caching
-# them is safe across replications and configurations.
-_DECISION_MEMOS: dict[str, dict] = {name: {} for name in policies.DETERMINISTIC_DECIDERS}
+@dataclass(frozen=True)
+class _SlotInputs:
+    """One replication's sample path, converted once and shared by every policy."""
+
+    replication: int
+    connectivity: list[list[list[int]]]
+    arrivals: list[list[int]]
+    # one integer per slot, distinct for distinct connectivity matrices
+    codes: list[int]
+
+
+def _slot_inputs(config: SimConfig, replication: int) -> _SlotInputs:
+    path = SamplePath(config.params, config.seed, replication, config.horizon)
+    flat = path.connectivity.reshape(config.horizon, -1)
+    bits = np.array([1 << i for i in range(flat.shape[1])], dtype=object)
+    return _SlotInputs(
+        replication,
+        path.connectivity.tolist(),
+        path.arrivals.tolist(),
+        (flat @ bits).tolist(),
+    )
 
 
 def _simulate_one(
     config: SimConfig,
-    path: SamplePath,
+    inputs: _SlotInputs,
     policy: str,
     sampled: Sequence[int],
     keep_states: bool = False,
@@ -177,22 +194,18 @@ def _simulate_one(
     interval = config.record_interval
     x = config.start_state()
 
-    c_list = path.connectivity.tolist()
-    a_list = path.arrivals.tolist()
-    flat = path.connectivity.reshape(horizon, -1)
-    c_keys = [flat[i].tobytes() for i in range(horizon)]
+    c_list, a_list, codes = inputs.connectivity, inputs.arrivals, inputs.codes
 
+    # Decisions are pure functions of (queue lengths, connectivity); the memo
+    # lives for this run only, so it is bounded by the horizon.
+    memo: dict = {}
+    fn = policies.DETERMINISTIC_DECIDERS.get(policy)
     policy_u = None
-    memo = None
-    fn = None
-    if policy == policies.RANDOM_MAXIMAL:
+    if fn is None:
         policy_u = rng.path_uniforms(
-            config.seed, path.replication, rng.STREAM_POLICY, horizon,
+            config.seed, inputs.replication, rng.STREAM_POLICY, horizon,
             params.n_queues * params.n_servers,
         )
-    else:
-        memo = _DECISION_MEMOS[policy]
-        fn = policies.DETERMINISTIC_DECIDERS[policy]
 
     cost_fns = [COST_FUNCTIONS[name] for name in config.cost_functions]
     sampled_set = frozenset(sampled)
@@ -209,7 +222,7 @@ def _simulate_one(
                 x, c_rows, policy_u[t - 1]
             )
         else:
-            key = (x, c_keys[t - 1])
+            key = (x, codes[t - 1])
             m = memo.get(key)
             if m is None:
                 m = fn(x, c_rows)
@@ -226,14 +239,14 @@ def _simulate_one(
         if recording:
             records.append(
                 TraceRecord(
-                    path.replication, t, policy, x, mw,
+                    inputs.replication, t, policy, x, mw,
                     tuple(cfn(x) for cfn in cost_fns),
                 )
             )
         if keep_states:
             states.append(x)
 
-    return _PolicyRun(sampled_values, occupancy, records, states, path.digest())
+    return _PolicyRun(sampled_values, occupancy, records, states)
 
 
 def run_replication(
@@ -242,19 +255,18 @@ def run_replication(
     """Trace one policy through one replication of the shared sample path."""
     if policy not in policies.POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
-    path = SamplePath(config.params, config.seed, replication, config.horizon)
-    return _simulate_one(config, path, policy, sampled=()).records
+    inputs = _slot_inputs(config, replication)
+    return _simulate_one(config, inputs, policy, sampled=()).records
 
 
 def _replication_payload(args: tuple[SimConfig, int, tuple[int, ...]]):
     config, replication, sampled = args
-    out = {}
-    for policy in config.policies:
-        # Each policy rebuilds the path from (seed, replication) so the
-        # digest comparison actually exercises the coupling contract.
-        path = SamplePath(config.params, config.seed, replication, config.horizon)
-        out[policy] = _simulate_one(config, path, policy, sampled)
-    return out
+    # One path object feeds every policy, which is what couples them.
+    inputs = _slot_inputs(config, replication)
+    return {
+        policy: _simulate_one(config, inputs, policy, sampled)
+        for policy in config.policies
+    }
 
 
 def run_experiment(
@@ -286,11 +298,6 @@ def run_experiment(
     }
     records: list[TraceRecord] = []
     for r, payload in enumerate(payloads):
-        digests = {p: payload[p].digest for p in config.policies}
-        if len(set(digests.values())) != 1:
-            raise RuntimeError(
-                f"coupling integrity broken at replication {r}: {digests}"
-            )
         for p in config.policies:
             run = payload[p]
             occ_sums[p] += np.asarray(run.occupancy, dtype=np.int64)
@@ -312,20 +319,14 @@ def clopper_pearson(successes: int, trials: int, level: float = CONFIDENCE_LEVEL
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in 0..trials")
     alpha = 1.0 - level
+    # betaincinv(a, b, q) is the q-quantile of Beta(a, b)
     lo = 0.0 if successes == 0 else float(
-        _beta.ppf(alpha / 2, successes, trials - successes + 1)
+        betaincinv(successes, trials - successes + 1, alpha / 2)
     )
     hi = 1.0 if successes == trials else float(
-        _beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
+        betaincinv(successes + 1, trials - successes, 1 - alpha / 2)
     )
     return lo, hi
-
-
-def empirical_ccdf(sample: Sequence[int], threshold: int) -> float:
-    """Fraction of the sample strictly above the threshold."""
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    return sum(1 for v in sample if v > threshold) / len(sample)
 
 
 def _percentile_99(flat: np.ndarray) -> int:
@@ -345,6 +346,8 @@ def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
         p: _stability_check(occ_sums[p], reps, horizon) for p in config.policies
     }
 
+    # the success count k of any point lies in 0..reps
+    intervals = [clopper_pearson(k, reps) for k in range(reps + 1)]
     ccdf: dict[str, tuple] = {}
     mean_costs: dict[str, dict[str, tuple[float, ...]]] = {}
     violations: list[DominanceViolation] = []
@@ -357,7 +360,7 @@ def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
                 points = {}
                 for p in config.policies:
                     k = int((values[p][cost][:, slot_idx] > threshold).sum())
-                    lo, hi = clopper_pearson(k, reps)
+                    lo, hi = intervals[k]
                     points[p] = (k / reps, lo, hi)
                     rows.append((slot, threshold, p, k / reps, lo, hi))
                 mwm_p, mwm_lo, _ = points[policies.MWM]
@@ -436,9 +439,9 @@ def per_slot_preceq_audit(config: SimConfig, baseline: str) -> PreceqAuditReport
     holding = 0
     failures = []
     for r in range(config.replications):
-        path = SamplePath(config.params, config.seed, r, config.horizon)
-        run_m = _simulate_one(config, path, policies.MWM, (), keep_states=True)
-        run_b = _simulate_one(config, path, baseline, (), keep_states=True)
+        inputs = _slot_inputs(config, r)
+        run_m = _simulate_one(config, inputs, policies.MWM, (), keep_states=True)
+        run_b = _simulate_one(config, inputs, baseline, (), keep_states=True)
         for t in range(1, config.horizon + 1):
             xm = run_m.states[t]
             xb = run_b.states[t]

@@ -17,8 +17,6 @@ from . import rng
 from .matching import Pair
 
 QueueState = tuple[int, ...]
-ConnectivityMatrix = tuple[tuple[int, ...], ...]
-ArrivalVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -122,16 +120,6 @@ class SamplePath:
         self.connectivity = (u_c < params.connect_prob).astype(np.uint8).reshape(horizon, n, k)
         u_a = rng.path_uniforms(seed, replication, rng.STREAM_ARRIVALS, horizon, n)
         self.arrivals = (u_a < params.arrival_prob).astype(np.uint8)
-
-    def connectivity_at(self, slot: int) -> ConnectivityMatrix:
-        if not 1 <= slot <= self.horizon:
-            raise ValueError(f"slot {slot} outside 1..{self.horizon}")
-        return tuple(tuple(row) for row in self.connectivity[slot - 1].tolist())
-
-    def arrivals_at(self, slot: int) -> ArrivalVector:
-        if not 1 <= slot <= self.horizon:
-            raise ValueError(f"slot {slot} outside 1..{self.horizon}")
-        return tuple(self.arrivals[slot - 1].tolist())
 
     def digest(self) -> str:
         """Hash of the realized inputs; equal digests mean identical sample paths."""

@@ -18,13 +18,14 @@ from mwmlab.balance import (
 from mwmlab.harness import (
     SimConfig,
     _simulate_one,
+    _slot_inputs,
     dominance_csv_lines,
     run_experiment,
     trace_csv_lines,
     write_lines,
 )
 from mwmlab.matching import enumerate_matchings, max_weight_matching
-from mwmlab.queueing import SamplePath, SystemParams
+from mwmlab.queueing import SystemParams
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -171,7 +172,7 @@ def test_criterion_6_degenerate_exactness():
     for r in range(full.replications):
         trajectories = []
         for policy in full.policies:
-            path = SamplePath(full.params, full.seed, r, full.horizon)
+            path = _slot_inputs(full, r)
             run = _simulate_one(full, path, policy, sampled=(), keep_states=True)
             trajectories.append(run.states)
         collapse_ok = collapse_ok and all(t == trajectories[0] for t in trajectories)

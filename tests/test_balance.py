@@ -2,7 +2,9 @@
 
 The independent oracle for the transitive closure is a breadth-first search
 over the one-step moves, checked against the closed-form ``preceq_p`` on
-every small pair.
+every small pair. The oracle for ``distance_to_mwm`` is a forward
+breadth-first search from one matching, checked against the package's
+backward search from the optima on every small instance.
 """
 
 import random
@@ -17,6 +19,8 @@ from mwmlab.balance import (
     REDUCTION,
     TRANSPOSITION,
     BalancingChainError,
+    _distances_to_optimum,
+    _reallocation_graph,
     balancing_condition,
     distance_to_mwm,
     find_balancing_reallocation,
@@ -75,6 +79,38 @@ def bfs_lower_set(x):
                 seen.add(s)
                 queue.append(s)
     return seen
+
+
+def forward_distance(x_prev, c, start):
+    """Reference: fewest reallocations from ``start`` to an optimum, or None."""
+    candidates = list(enumerate_matchings(len(x_prev), len(c[0])))
+    weights = {cand: matching_weight(x_prev, c, cand) for cand in candidates}
+    served = {cand: serve(x_prev, c, cand) for cand in candidates}
+    opt = max(weights.values())
+    if weights[start] == opt:
+        return 0
+    seen = {start}
+    queue = deque([(start, 0)])
+    while queue:
+        cur, dist = queue.popleft()
+        base = served[cur]
+        for cand in candidates:
+            if cand in seen:
+                continue
+            if balancing_condition(base, served[cand]) is None:
+                continue
+            if weights[cand] == opt:
+                return dist + 1
+            seen.add(cand)
+            queue.append((cand, dist + 1))
+    return None
+
+
+def all_connectivities(n, k):
+    for bits in range(1 << (n * k)):
+        yield tuple(
+            tuple((bits >> (i * k + j)) & 1 for j in range(k)) for i in range(n)
+        )
 
 
 class TestPreceqOne:
@@ -284,6 +320,17 @@ class TestDistanceToMwm:
                 for m in enumerate_matchings(2, 2):
                     distance_to_mwm(x, c, m)  # raises BalancingChainError on failure
 
+    def test_matches_forward_search_oracle(self):
+        # one backward search per instance gives every matching's distance
+        for n, k in product(range(1, 4), range(1, 3)):
+            matchings = list(enumerate_matchings(n, k))
+            for x in product(range(3), repeat=n):
+                for c in all_connectivities(n, k):
+                    _, weights, edges = _reallocation_graph(x, c, matchings)
+                    assert _distances_to_optimum(weights, edges) == [
+                        forward_distance(x, c, m) for m in matchings
+                    ]
+
     def test_chain_error_type_exists(self):
         assert issubclass(BalancingChainError, RuntimeError)
 
@@ -294,6 +341,11 @@ class TestSweep:
         assert report.violation_count == 0
         assert report.instances > 0
         assert report.reallocation_pairs > 0
+
+    @pytest.mark.parametrize("ranges", [(0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    def test_empty_ranges_rejected(self, ranges):
+        with pytest.raises(ValueError):
+            sweep_lemmas(*ranges)
 
     def test_report_formatting(self):
         report = sweep_lemmas(1, 1, 1)

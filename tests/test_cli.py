@@ -1,5 +1,7 @@
 """Command line behavior: parsing, validation, files, exit codes."""
 
+import pytest
+
 from mwmlab import cli
 
 
@@ -127,6 +129,15 @@ class TestVerifyLemmas:
         text = out_file.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert "total violations: 0" in text
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-n", "0"), ("--max-k", "0"), ("--max-x", "-1")]
+    )
+    def test_empty_range_is_an_error(self, capsys, flag, value):
+        code, out, err = run_cli(["verify-lemmas", flag, value], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "instances checked" not in out
 
     def test_exit_nonzero_when_a_violation_is_reported(self, capsys, monkeypatch):
         from mwmlab import balance

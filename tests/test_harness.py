@@ -1,15 +1,20 @@
 """Coupled simulation and dominance aggregation contracts."""
 
+import subprocess
+import sys
+
 import pytest
+from scipy.stats import beta
 
 from mwmlab.balance import COST_FUNCTIONS
 from mwmlab.harness import (
+    CONFIDENCE_LEVEL,
     SimConfig,
     _simulate_one,
+    _slot_inputs,
     clopper_pearson,
     coupled_compare,
     dominance_csv_lines,
-    empirical_ccdf,
     format_audit_report,
     format_dominance_summary,
     per_slot_preceq_audit,
@@ -143,23 +148,33 @@ class TestRunReplication:
 
 
 class TestCoupling:
-    def test_sample_paths_identical_across_policies(self):
-        cfg = make_config()
-        digests = set()
+    def test_policy_results_do_not_depend_on_which_policies_run(self):
+        # each policy sees the same path whether it runs alone, next to the
+        # reference only, or with all four policies in another order
+        sizes = dict(horizon=40, replications=4, record_interval=5)
+        cfg = make_config(**sizes)
+        everyone, everyone_records = run_experiment(
+            make_config(policies=tuple(reversed(cfg.policies)), **sizes)
+        )
         for policy in cfg.policies:
-            path = SamplePath(cfg.params, cfg.seed, 5, cfg.horizon)
-            run = _simulate_one(cfg, path, policy, sampled=())
-            digests.add(run.digest)
-        assert len(digests) == 1
+            alone = [
+                rec for r in range(cfg.replications)
+                for rec in run_replication(cfg, r, policy)
+            ]
+            assert [rec for rec in everyone_records if rec.policy == policy] == alone
+            few = ("mwm",) if policy == "mwm" else ("mwm", policy)
+            report, records = run_experiment(make_config(policies=few, **sizes))
+            assert [rec for rec in records if rec.policy == policy] == alone
+            assert report.mean_occupancy[policy] == everyone.mean_occupancy[policy]
 
     def test_full_connectivity_with_enough_servers_collapses_all_policies(self):
         cfg = make_config(
             params=SystemParams(2, 3, 1.0, 0.5), horizon=60, replications=1
         )
         states = {}
+        inputs = _slot_inputs(cfg, 0)
         for policy in cfg.policies:
-            path = SamplePath(cfg.params, cfg.seed, 0, cfg.horizon)
-            run = _simulate_one(cfg, path, policy, sampled=(), keep_states=True)
+            run = _simulate_one(cfg, inputs, policy, sampled=(), keep_states=True)
             states[policy] = run.states
         reference = states["mwm"]
         for policy in cfg.policies:
@@ -196,14 +211,6 @@ class TestCoupledCompare:
             for points in series.values():
                 values = [p for _, p in sorted(points)]
                 assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_empirical_ccdf_normalization(self):
-        sample = [0, 1, 3, 3]
-        assert empirical_ccdf(sample, -1) == 1.0
-        assert empirical_ccdf(sample, 0) == 0.75
-        assert empirical_ccdf(sample, 3) == 0.0
-        with pytest.raises(ValueError):
-            empirical_ccdf([], 0)
 
     def test_mean_costs_match_records(self):
         cfg = make_config(horizon=16, replications=5, record_interval=1,
@@ -259,6 +266,21 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
 
+    def test_matches_beta_quantiles(self):
+        alpha = 1.0 - CONFIDENCE_LEVEL
+        for n in (1, 2, 10, 40, 200):
+            for k in range(n + 1):
+                lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2, k, n - k + 1))
+                hi = 1.0 if k == n else float(beta.ppf(1 - alpha / 2, k + 1, n - k))
+                assert clopper_pearson(k, n) == (lo, hi)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        probe = "import sys, mwmlab; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestAudit:
     def test_self_audit_holds_everywhere(self):
@@ -299,9 +321,9 @@ class TestAudit:
         assert report.slots_checked == 3 * 80
         holding = 0
         for r in range(cfg.replications):
-            path = SamplePath(cfg.params, cfg.seed, r, cfg.horizon)
-            xm = _simulate_one(cfg, path, "mwm", (), keep_states=True).states
-            xb = _simulate_one(cfg, path, "fixed_order", (), keep_states=True).states
+            inputs = _slot_inputs(cfg, r)
+            xm = _simulate_one(cfg, inputs, "mwm", (), keep_states=True).states
+            xb = _simulate_one(cfg, inputs, "fixed_order", (), keep_states=True).states
             holding += sum(
                 xm[t] in bfs_lower_set(xb[t]) for t in range(1, cfg.horizon + 1)
             )

@@ -105,11 +105,11 @@ class TestServeAndStep:
 class TestSampling:
     def test_degenerate_probabilities(self):
         p0 = SamplePath(SystemParams(3, 2, 0.0, 0.0), seed=0, replication=0, horizon=1)
-        assert p0.connectivity_at(1) == ((0, 0), (0, 0), (0, 0))
-        assert p0.arrivals_at(1) == (0, 0, 0)
+        assert p0.connectivity[0].tolist() == [[0, 0], [0, 0], [0, 0]]
+        assert p0.arrivals[0].tolist() == [0, 0, 0]
         p1 = SamplePath(SystemParams(3, 2, 1.0, 1.0), seed=0, replication=0, horizon=1)
-        assert p1.connectivity_at(1) == ((1, 1), (1, 1), (1, 1))
-        assert p1.arrivals_at(1) == (1, 1, 1)
+        assert p1.connectivity[0].tolist() == [[1, 1], [1, 1], [1, 1]]
+        assert p1.arrivals[0].tolist() == [1, 1, 1]
 
     def test_connectivity_mean_near_p(self):
         params = SystemParams(2, 2, 0.5, 0.3)
@@ -131,10 +131,10 @@ class TestStreamLayout:
         for t in (1, 2, 7, 20):
             gen_c = rng.slot_stream(99, 4, rng.STREAM_CONNECTIVITY, t, 6)
             c = (gen_c.random((3, 2)) < params.connect_prob).astype(int).tolist()
-            assert tuple(tuple(row) for row in c) == path.connectivity_at(t)
+            assert c == path.connectivity[t - 1].tolist()
             gen_a = rng.slot_stream(99, 4, rng.STREAM_ARRIVALS, t, 3)
             a = (gen_a.random(3) < params.arrival_prob).astype(int).tolist()
-            assert tuple(a) == path.arrivals_at(t)
+            assert a == path.arrivals[t - 1].tolist()
 
     def test_paths_reproducible_and_seed_sensitive(self):
         params = SystemParams(2, 2, 0.5, 0.5)
@@ -154,14 +154,6 @@ class TestStreamLayout:
         assert not np.array_equal(
             path.connectivity.reshape(200, 4)[:, :2], path.arrivals
         )
-
-    def test_slot_bounds(self):
-        params = SystemParams(2, 2, 0.5, 0.5)
-        path = SamplePath(params, seed=5, replication=1, horizon=10)
-        with pytest.raises(ValueError):
-            path.connectivity_at(0)
-        with pytest.raises(ValueError):
-            path.arrivals_at(11)
 
 
 class TestValidation:
