@@ -24,14 +24,16 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 from .matching import (
+    ENUMERATION_LIMIT,
     Matching,
     Pair,
     enumerate_matchings,
     matching_weight,
     max_weight_matching,
     validate_matching,
-    weight_matrix,
 )
 from .queueing import QueueState, serve, validate_state
 
@@ -189,6 +191,10 @@ register_cost_function("sum_of_squares", sum_of_squares)
 CONDITION_C1 = "C1"
 CONDITION_C2 = "C2"
 
+# Cells of one sweep block's (instance, matching, matching) arrays; a shape
+# whose single instance is larger runs one instance per block.
+_BLOCK_CELLS = 1 << 13
+
 
 @dataclass(frozen=True)
 class ReallocationWitness:
@@ -218,70 +224,114 @@ def balancing_condition(
     return None
 
 
+def _matching_table(
+    matchings: Sequence[Matching], n_queues: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per matching and queue: whether the queue is matched, and to which server."""
+    matched = np.zeros((len(matchings), n_queues), dtype=bool)
+    server = np.zeros((len(matchings), n_queues), dtype=np.intp)
+    for i, m in enumerate(matchings):
+        for n, k in m:
+            matched[i, n] = True
+            server[i, n] = k
+    return matched, server
+
+
+def _reallocation_kernel(
+    x: np.ndarray, c: np.ndarray, table: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights and balancing reallocations of every matching of B instances.
+
+    ``x`` is (B, N) queue lengths, ``c`` is (B, N, K) connectivities and
+    ``table`` comes from ``_matching_table``. Returns the (B, M) matching
+    weights and two (B, M, M) masks whose entry [b, i, j] says that matching
+    ``j`` is a C1 or a C2 reallocation of matching ``i`` in instance ``b``.
+
+    Matching ``i`` serves a 0/1 vector of queues, so the post-service vectors
+    differ entrywise by -1, 0 or 1, and the entries that rise or fall from
+    ``i``'s outcome to ``j``'s are counted by products of the service
+    vectors, with no (B, M, M, N) array. C1: none rises and some fall. C2:
+    exactly one rises, exactly one falls, and in ``i``'s outcome the falling
+    entry exceeds the rising one by at least 2 (``preceq_one``'s interchange
+    clause; its transposition clause needs a gap of exactly 1).
+    """
+    matched, server = table
+    conn = c[:, np.arange(x.shape[1]), server] * matched  # (B, M, N)
+    weights = (conn * x[:, None, :]).sum(axis=2)
+    served = ((conn != 0) & (x[:, None, :] > 0)).astype(np.int64)
+    after = x[:, None, :] - served
+    served_t = served.transpose(0, 2, 1)
+    both = served @ served_t
+    count = served.sum(axis=2)
+    rises = count[:, :, None] - both  # served by i, not by j
+    falls = count[:, None, :] - both  # served by j, not by i
+    # with one rise and one fall: after_i[falling] - after_i[rising]
+    gap = after @ served_t - (after * served).sum(axis=2)[:, :, None]
+    c1 = (rises == 0) & (falls > 0)
+    c2 = (rises == 1) & (falls == 1) & (gap >= 2)
+    return weights, c1, c2
+
+
+def _distances_to_optimum(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Fewest reallocations from each matching to a maximum weight one.
+
+    ``weights`` is (B, M) and ``edges`` the (B, M, M) reallocation mask.
+    Breadth-first search backwards from every optimum of every instance at
+    once; -1 marks a matching from which no optimum is reachable.
+    """
+    dist = np.where(weights == weights.max(axis=1, keepdims=True), 0, -1)
+    frontier = dist == 0
+    step = 0
+    while frontier.any():
+        step += 1
+        frontier = (edges & frontier[:, None, :]).any(axis=2) & (dist < 0)
+        dist[frontier] = step
+    return dist
+
+
 def _reallocation_graph(
     x_prev: Sequence[int],
     c: Sequence[Sequence[int]],
     matchings: Sequence[Matching] | None = None,
-) -> tuple[Sequence[Matching], list[int], list[list[tuple[int, str]]]]:
-    """Every matching of one instance, its weight and its balancing reallocations.
+) -> tuple[Sequence[Matching], list[int], list[list[tuple[int, str]]], list[int | None]]:
+    """Every matching of one instance, its weight, reallocations and distance.
 
     ``edges[i]`` lists ``(j, condition)`` for each matching ``j`` that is a
-    balancing reallocation of matching ``i``, in enumeration order. Callers
-    that sweep many instances of one shape pass ``matchings`` in.
+    balancing reallocation of matching ``i``, in enumeration order;
+    ``dist[i]`` is the fewest reallocations from ``i`` to an optimum, None
+    when none is reachable.
     """
+    if len(c) != len(x_prev):
+        raise ValueError(f"connectivity has {len(c)} rows for {len(x_prev)} queues")
     if matchings is None:
         matchings = list(enumerate_matchings(len(x_prev), len(c[0])))
-    served = [serve(x_prev, c, m) for m in matchings]
-    weights = [sum(x_prev[n] * c[n][k] for n, k in m) for m in matchings]
-    edges: list[list[tuple[int, str]]] = []
-    for i, base in enumerate(served):
-        out = []
-        for j, other in enumerate(served):
-            if j != i:
-                cond = balancing_condition(base, other)
-                if cond is not None:
-                    out.append((j, cond))
-        edges.append(out)
-    return matchings, weights, edges
+    weights, c1, c2 = _reallocation_kernel(
+        np.array([x_prev], dtype=np.int64),
+        np.array([c], dtype=np.int64),
+        _matching_table(matchings, len(x_prev)),
+    )
+    adjacency = c1 | c2
+    edges = [
+        [(j, CONDITION_C1 if c1[0, i, j] else CONDITION_C2)
+         for j in np.flatnonzero(row).tolist()]
+        for i, row in enumerate(adjacency[0])
+    ]
+    dist = _distances_to_optimum(weights, adjacency)[0].tolist()
+    return matchings, weights[0].tolist(), edges, [d if d >= 0 else None for d in dist]
 
 
-def _distances_to_optimum(
-    weights: Sequence[int], edges: Sequence[Sequence[tuple[int, str]]]
-) -> list[int | None]:
-    """Fewest reallocations from each matching to a maximum weight one.
-
-    Breadth-first search backwards from every optimum matching; None marks a
-    matching from which no optimum is reachable.
-    """
-    incoming: list[list[int]] = [[] for _ in weights]
-    for i, out in enumerate(edges):
-        for j, _ in out:
-            incoming[j].append(i)
-    opt = max(weights)
-    dist: list[int | None] = [0 if w == opt else None for w in weights]
-    queue = [i for i, d in enumerate(dist) if d == 0]
-    for j in queue:  # items appended during the loop are visited in order
-        for i in incoming[j]:
-            if dist[i] is None:
-                dist[i] = dist[j] + 1
-                queue.append(i)
-    return dist
-
-
-def _locate(
-    x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
-) -> tuple[Sequence[Matching], list[int], list[list[tuple[int, str]]], int]:
+def _locate(x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]):
     """The instance's reallocation graph and the index of ``m`` in it."""
     original = validate_matching(m, len(x_prev), len(c[0]))
-    matchings, weights, edges = _reallocation_graph(x_prev, c)
-    return matchings, weights, edges, matchings.index(original)
+    graph = _reallocation_graph(x_prev, c)
+    return (*graph, graph[0].index(original))
 
 
 def iter_balancing_reallocations(
     x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
 ) -> Iterator[ReallocationWitness]:
     """All balancing server reallocations of ``m``, in enumeration order."""
-    matchings, _, edges, i = _locate(x_prev, c, m)
+    matchings, _, edges, _, i = _locate(x_prev, c, m)
     for j, cond in edges[i]:
         yield ReallocationWitness(matchings[i], matchings[j], cond)
 
@@ -320,7 +370,7 @@ def verify_lemma2_corollary1(
     x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
 ) -> bool:
     """Biconditional: weight below optimum iff some reallocation exists."""
-    _, weights, edges, i = _locate(x_prev, c, m)
+    _, weights, edges, _, i = _locate(x_prev, c, m)
     return (weights[i] < max(weights)) == bool(edges[i])
 
 
@@ -332,8 +382,8 @@ def distance_to_mwm(
     Raises BalancingChainError if no maximum weight matching is reachable,
     which would be a counterexample.
     """
-    matchings, weights, edges, i = _locate(x_prev, c, m)
-    dist = _distances_to_optimum(weights, edges)[i]
+    matchings, _, _, dists, i = _locate(x_prev, c, m)
+    dist = dists[i]
     if dist is None:
         raise BalancingChainError(
             f"no maximum weight matching reachable from {matchings[i]} "
@@ -369,15 +419,6 @@ class LemmaSweepReport:
         )
 
 
-def _all_connectivities(n_queues: int, n_servers: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    cells = n_queues * n_servers
-    for bits in range(1 << cells):
-        yield tuple(
-            tuple((bits >> (n * n_servers + k)) & 1 for k in range(n_servers))
-            for n in range(n_queues)
-        )
-
-
 def sweep_lemmas(max_n: int, max_k: int, max_x: int) -> LemmaSweepReport:
     """Exhaustively check the reallocation properties on every small instance.
 
@@ -394,42 +435,75 @@ def sweep_lemmas(max_n: int, max_k: int, max_x: int) -> LemmaSweepReport:
             f"sweep ranges must have max_n >= 1, max_k >= 1 and max_x >= 0, "
             f"got {max_n}, {max_k} and {max_x}"
         )
+    if max_n * max_k > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"{max_n}x{max_k} exceeds the enumeration limit "
+            f"({max_n * max_k} > {ENUMERATION_LIMIT})"
+        )
     report = LemmaSweepReport(max_n=max_n, max_k=max_k, max_x=max_x)
     t0 = time.perf_counter()
     for n_queues in range(1, max_n + 1):
         for n_servers in range(1, max_k + 1):
-            matchings = list(enumerate_matchings(n_queues, n_servers))
-            for x in product(range(max_x + 1), repeat=n_queues):
-                for c in _all_connectivities(n_queues, n_servers):
-                    _, mw, edges = _reallocation_graph(x, c, matchings)
-                    dist = _distances_to_optimum(mw, edges)
-                    opt = max(mw)
-                    inst = f"N={n_queues} K={n_servers} x={x} c={c}"
-
-                    solved = max_weight_matching(weight_matrix(x, c))
-                    if sum(x[n] * c[n][k] for n, k in solved) != opt:
-                        report.solver_mismatches.append(f"{inst} solver={solved}")
-
-                    report.instances += len(matchings)
-                    for i, out in enumerate(edges):
-                        for j, _ in out:
-                            report.reallocation_pairs += 1
-                            if mw[j] <= mw[i]:
-                                report.weight_increase_violations.append(
-                                    f"{inst} m={matchings[i]} -> {matchings[j]} "
-                                    f"weight {mw[i]} -> {mw[j]}"
-                                )
-                        if (mw[i] < opt) != bool(out):
-                            report.biconditional_violations.append(
-                                f"{inst} m={matchings[i]} weight={mw[i]} opt={opt} "
-                                f"reallocations={len(out)}"
-                            )
-                        if dist[i] is None:
-                            report.unreachable_optimum.append(
-                                f"{inst} m={matchings[i]} weight={mw[i]} opt={opt}"
-                            )
+            _sweep_shape(report, n_queues, n_servers, max_x)
     report.elapsed_seconds = time.perf_counter() - t0
     return report
+
+
+def _sweep_shape(
+    report: LemmaSweepReport, n_queues: int, n_servers: int, max_x: int
+) -> None:
+    """Check every instance of one shape, a block of instances at a time.
+
+    Instances are numbered in the order ``x`` (last queue fastest), then
+    the connectivity whose bit ``n * K + k`` is ``c[n][k]``; each block is
+    decoded from its range of numbers, so memory does not grow with the
+    shape's instance count.
+    """
+    matchings = list(enumerate_matchings(n_queues, n_servers))
+    table = _matching_table(matchings, n_queues)
+    per_x = 1 << (n_queues * n_servers)
+    total = (max_x + 1) ** n_queues * per_x
+    block = max(1, _BLOCK_CELLS // len(matchings) ** 2)
+    cell_bit = np.arange(n_queues * n_servers).reshape(n_queues, n_servers)
+    for start in range(0, total, block):
+        rest, bits = np.divmod(
+            np.arange(start, min(start + block, total), dtype=np.int64), per_x
+        )
+        x = np.empty((len(bits), n_queues), dtype=np.int64)
+        for n in reversed(range(n_queues)):
+            rest, x[:, n] = np.divmod(rest, max_x + 1)
+        c = (bits[:, None, None] >> cell_bit) & 1
+        mw, c1, c2 = _reallocation_kernel(x, c, table)
+        edges = c1 | c2
+        opt = mw.max(axis=1)
+        dist = _distances_to_optimum(mw, edges)
+        report.instances += len(bits) * len(matchings)
+        report.reallocation_pairs += int(edges.sum())
+
+        def inst(b: int) -> str:
+            c_b = tuple(map(tuple, c[b].tolist()))
+            return f"N={n_queues} K={n_servers} x={tuple(x[b].tolist())} c={c_b}"
+
+        ws, opts = mw.tolist(), opt.tolist()
+        for b, w in enumerate((x[:, :, None] * c).tolist()):
+            solved = max_weight_matching(w)
+            if sum(w[n][k] for n, k in solved) != opts[b]:
+                report.solver_mismatches.append(f"{inst(b)} solver={solved}")
+        for b, i, j in zip(*np.nonzero(edges & (mw[:, None, :] <= mw[:, :, None]))):
+            report.weight_increase_violations.append(
+                f"{inst(b)} m={matchings[i]} -> {matchings[j]} "
+                f"weight {ws[b][i]} -> {ws[b][j]}"
+            )
+        n_out = edges.sum(axis=2)
+        for b, i in zip(*np.nonzero((mw < opt[:, None]) != (n_out > 0))):
+            report.biconditional_violations.append(
+                f"{inst(b)} m={matchings[i]} weight={ws[b][i]} opt={opts[b]} "
+                f"reallocations={n_out[b, i]}"
+            )
+        for b, i in zip(*np.nonzero(dist < 0)):
+            report.unreachable_optimum.append(
+                f"{inst(b)} m={matchings[i]} weight={ws[b][i]} opt={opts[b]}"
+            )
 
 
 def format_sweep_report(report: LemmaSweepReport) -> str:

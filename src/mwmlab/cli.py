@@ -235,7 +235,10 @@ def _cmd_verify_lemmas(args) -> int:
     text = balance.format_sweep_report(report)
     print(text)
     if args.out:
-        harness.write_lines(args.out, text.splitlines())
+        try:
+            harness.write_lines(args.out, text.splitlines())
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
     return 0 if report.violation_count == 0 else 1
 
 

@@ -4,7 +4,9 @@ The independent oracle for the transitive closure is a breadth-first search
 over the one-step moves, checked against the closed-form ``preceq_p`` on
 every small pair. The oracle for ``distance_to_mwm`` is a forward
 breadth-first search from one matching, checked against the package's
-backward search from the optima on every small instance.
+backward search from the optima on every small instance. The oracle for
+the vectorized reallocation graph is the scalar ``balancing_condition`` on
+every ordered pair of matchings.
 """
 
 import random
@@ -13,13 +15,13 @@ from itertools import product
 
 import pytest
 
+from mwmlab import balance
 from mwmlab.balance import (
     BALANCING_INTERCHANGE,
     COST_FUNCTIONS,
     REDUCTION,
     TRANSPOSITION,
     BalancingChainError,
-    _distances_to_optimum,
     _reallocation_graph,
     balancing_condition,
     distance_to_mwm,
@@ -301,6 +303,26 @@ class TestVerifyLemma2Corollary1:
         assert verify_lemma2_corollary1(x, c, decide_mwm(x, c))
 
 
+class TestReallocationGraph:
+    @pytest.mark.parametrize("n, k, max_x", [(1, 1, 3), (1, 2, 3), (2, 1, 3),
+                                             (2, 2, 3), (3, 1, 3), (3, 2, 3),
+                                             (2, 3, 2)])
+    def test_matches_scalar_classifier(self, n, k, max_x):
+        matchings = list(enumerate_matchings(n, k))
+        for x in product(range(max_x + 1), repeat=n):
+            for c in all_connectivities(n, k):
+                served = [serve(x, c, m) for m in matchings]
+                _, weights, edges, _ = _reallocation_graph(x, c, matchings)
+                assert weights == [matching_weight(x, c, m) for m in matchings]
+                for i, base in enumerate(served):
+                    conds = [
+                        (j, balancing_condition(base, other))
+                        for j, other in enumerate(served)
+                        if j != i
+                    ]
+                    assert edges[i] == [(j, cond) for j, cond in conds if cond]
+
+
 class TestDistanceToMwm:
     def test_zero_for_optimal(self):
         x, c = (2, 3), ((1, 1), (1, 1))
@@ -326,8 +348,7 @@ class TestDistanceToMwm:
             matchings = list(enumerate_matchings(n, k))
             for x in product(range(3), repeat=n):
                 for c in all_connectivities(n, k):
-                    _, weights, edges = _reallocation_graph(x, c, matchings)
-                    assert _distances_to_optimum(weights, edges) == [
+                    assert _reallocation_graph(x, c, matchings)[3] == [
                         forward_distance(x, c, m) for m in matchings
                     ]
 
@@ -342,10 +363,48 @@ class TestSweep:
         assert report.instances > 0
         assert report.reallocation_pairs > 0
 
-    @pytest.mark.parametrize("ranges", [(0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    @pytest.mark.parametrize(
+        "ranges", [(0, 1, 1), (1, 0, 1), (1, 1, -1), (26, 1, 0), (5, 6, 0)]
+    )
     def test_empty_ranges_rejected(self, ranges):
+        # the last two exceed the enumeration limit and fail before any work
         with pytest.raises(ValueError):
             sweep_lemmas(*ranges)
+
+    @staticmethod
+    def _report_without_time(max_n, max_k, max_x):
+        text = format_sweep_report(sweep_lemmas(max_n, max_k, max_x))
+        return [line for line in text.splitlines() if "elapsed seconds" not in line]
+
+    def test_block_size_does_not_change_the_report(self, monkeypatch):
+        reports = []
+        for cells in (1, 1 << 30):
+            monkeypatch.setattr(balance, "_BLOCK_CELLS", cells)
+            reports.append(self._report_without_time(2, 2, 2))
+        assert reports[0] == reports[1]
+        assert "  instances checked (state, connectivity, matching): 1164" in reports[0]
+
+    def test_instance_without_reallocations_is_reported(self, monkeypatch):
+        kernel = balance._reallocation_kernel
+
+        def drop_edges_of_one_instance(x, c, table):
+            weights, c1, c2 = kernel(x, c, table)
+            if x.shape[1] == 2:
+                hit = (x == (1, 2)).all(axis=1) & c.all(axis=(1, 2))
+                c1[hit] = c2[hit] = False
+            return weights, c1, c2
+
+        monkeypatch.setattr(balance, "_reallocation_kernel", drop_edges_of_one_instance)
+        inst = "N=2 K=1 x=(1, 2) c=((1,), (1,))"
+        lines = self._report_without_time(2, 1, 2)
+        assert [line for line in lines if "VIOLATION" in line] == [
+            f"  VIOLATION [biconditional] {inst} m=() weight=0 opt=2 reallocations=0",
+            f"  VIOLATION [biconditional] {inst} m=((0, 0),) weight=1 opt=2 "
+            "reallocations=0",
+            f"  VIOLATION [unreachable] {inst} m=() weight=0 opt=2",
+            f"  VIOLATION [unreachable] {inst} m=((0, 0),) weight=1 opt=2",
+        ]
+        assert lines[-1] == "total violations: 4"
 
     def test_report_formatting(self):
         report = sweep_lemmas(1, 1, 1)

@@ -139,6 +139,25 @@ class TestVerifyLemmas:
         assert err.startswith("error: ")
         assert "instances checked" not in out
 
+    def test_range_beyond_enumeration_limit_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            ["verify-lemmas", "--max-n", "26", "--max-k", "1", "--max-x", "0"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "enumeration limit" in err
+        assert "instances checked" not in out
+
+    def test_unwritable_out_is_an_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(
+            ["verify-lemmas", "--max-n", "1", "--max-k", "1", "--max-x", "1",
+             "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out_file}")
+        assert "total violations: 0" in out
+
     def test_exit_nonzero_when_a_violation_is_reported(self, capsys, monkeypatch):
         from mwmlab import balance
 
