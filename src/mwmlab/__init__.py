@@ -28,7 +28,6 @@ from .harness import (
     PreceqAuditReport,
     SimConfig,
     TraceRecord,
-    coupled_compare,
     per_slot_preceq_audit,
     run_experiment,
     run_replication,
@@ -45,13 +44,11 @@ from .policies import (
     decide_fixed_order,
     decide_greedy_lcq,
     decide_mwm,
-    decide_random_maximal,
 )
 from .queueing import (
     SamplePath,
     SystemParams,
     serve,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -69,11 +66,9 @@ __all__ = [
     "SystemParams",
     "TraceRecord",
     "balancing_condition",
-    "coupled_compare",
     "decide_fixed_order",
     "decide_greedy_lcq",
     "decide_mwm",
-    "decide_random_maximal",
     "distance_to_mwm",
     "enumerate_matchings",
     "find_balancing_reallocation",
@@ -88,7 +83,6 @@ __all__ = [
     "run_experiment",
     "run_replication",
     "serve",
-    "step",
     "sweep_lemmas",
     "total_occupancy",
     "validate_matching",

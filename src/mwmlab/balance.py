@@ -108,6 +108,13 @@ def preceq_p(x_tilde: Sequence[int], x: Sequence[int]) -> bool:
     return True
 
 
+def weakly_submajorized(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``preceq_p`` over the last axis of two integer arrays, all rows at once."""
+    lower_sums = np.cumsum(-np.sort(-lower, axis=-1), axis=-1)
+    upper_sums = np.cumsum(-np.sort(-upper, axis=-1), axis=-1)
+    return (lower_sums <= upper_sums).all(axis=-1)
+
+
 def reachable_below(x: Sequence[int]) -> set[QueueState]:
     """Every vector reachable from ``x``, i.e. the full lower set of ``x``.
 

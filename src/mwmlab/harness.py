@@ -2,7 +2,7 @@
 
 Every policy replays the identical realization of connectivities and
 arrivals for each replication, so trajectory differences are attributable
-to the policies alone. The comparison aggregates per-slot mean costs and
+to the policies alone; ``engine.simulate`` advances all of them in lockstep. The comparison aggregates per-slot mean costs and
 empirical tail probabilities with exact binomial confidence intervals, and
 flags any point where the reference policy's tail provably exceeds a
 baseline's.
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
-from . import policies, rng
-from .balance import COST_FUNCTIONS, preceq_p
-from .matching import Matching
-from .queueing import QueueState, SamplePath, SystemParams, serve, validate_state
+from . import engine, policies, rng
+from .balance import COST_FUNCTIONS, weakly_submajorized
+from .queueing import QueueState, SystemParams, validate_state
 
 CONFIDENCE_LEVEL = 0.99
 
@@ -28,6 +27,10 @@ CONFIDENCE_LEVEL = 0.99
 # quarter of the horizon flags a policy as possibly unstable at this load.
 _GROWTH_FACTOR = 1.05
 _GROWTH_SLACK = 0.5
+
+# Queue lengths stay below this, so every matching weight and score the
+# simulation engine forms fits in int64.
+_STATE_LIMIT = 2**48
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,10 @@ class SimConfig:
                 raise ValueError(
                     f"initial state has {len(state)} entries for "
                     f"{self.params.n_queues} queues"
+                )
+            if max(state) + self.horizon >= _STATE_LIMIT:
+                raise ValueError(
+                    "initial queue lengths plus the horizon must stay below 2**48"
                 )
 
     def start_state(self) -> QueueState:
@@ -151,102 +158,24 @@ def sampled_slots(horizon: int) -> tuple[int, ...]:
     return tuple(slots)
 
 
-@dataclass
-class _PolicyRun:
-    sampled_values: dict[str, list[int]]
-    occupancy: list[int]
-    records: list[TraceRecord]
-    states: list[QueueState] | None
-
-
-@dataclass(frozen=True)
-class _SlotInputs:
-    """One replication's sample path, converted once and shared by every policy."""
-
-    replication: int
-    connectivity: list[list[list[int]]]
-    arrivals: list[list[int]]
-    # one integer per slot, distinct for distinct connectivity matrices
-    codes: list[int]
-
-
-def _slot_inputs(config: SimConfig, replication: int) -> _SlotInputs:
-    path = SamplePath(config.params, config.seed, replication, config.horizon)
-    flat = path.connectivity.reshape(config.horizon, -1)
-    bits = np.array([1 << i for i in range(flat.shape[1])], dtype=object)
-    return _SlotInputs(
-        replication,
-        path.connectivity.tolist(),
-        path.arrivals.tolist(),
-        (flat @ bits).tolist(),
-    )
-
-
-def _simulate_one(
-    config: SimConfig,
-    inputs: _SlotInputs,
-    policy: str,
-    sampled: Sequence[int],
-    keep_states: bool = False,
-) -> _PolicyRun:
-    params = config.params
-    horizon = config.horizon
+def _trace_records(
+    config: SimConfig, names: Sequence[str], replications: range, block: engine.Block
+) -> list[TraceRecord]:
+    """A block's trace records, by replication, then policy, then slot."""
     interval = config.record_interval
-    x = config.start_state()
-
-    c_list, a_list, codes = inputs.connectivity, inputs.arrivals, inputs.codes
-
-    # Decisions are pure functions of (queue lengths, connectivity); the memo
-    # lives for this run only, so it is bounded by the horizon.
-    memo: dict = {}
-    fn = policies.DETERMINISTIC_DECIDERS.get(policy)
-    policy_u = None
-    if fn is None:
-        policy_u = rng.path_uniforms(
-            config.seed, inputs.replication, rng.STREAM_POLICY, horizon,
-            params.n_queues * params.n_servers,
-        )
-
+    slots = range(interval, config.horizon + 1, interval)
     cost_fns = [COST_FUNCTIONS[name] for name in config.cost_functions]
-    sampled_set = frozenset(sampled)
-    sampled_values: dict[str, list[int]] = {name: [] for name in config.cost_functions}
-    occupancy = [0] * (horizon + 1)
-    occupancy[0] = sum(x)
-    records: list[TraceRecord] = []
-    states: list[QueueState] | None = [x] if keep_states else None
-
-    for t in range(1, horizon + 1):
-        c_rows = c_list[t - 1]
-        if policy_u is not None:
-            m: Matching = policies.random_maximal_from_uniforms(
-                x, c_rows, policy_u[t - 1]
-            )
-        else:
-            key = (x, codes[t - 1])
-            m = memo.get(key)
-            if m is None:
-                m = fn(x, c_rows)
-                memo[key] = m
-        recording = t % interval == 0
-        if recording:
-            mw = sum(x[n] * c_rows[n][k] for n, k in m)
-        x_served = serve(x, c_rows, m)
-        x = tuple(s + a for s, a in zip(x_served, a_list[t - 1]))
-        occupancy[t] = sum(x)
-        if t in sampled_set:
-            for name, cfn in zip(config.cost_functions, cost_fns):
-                sampled_values[name].append(cfn(x))
-        if recording:
-            records.append(
-                TraceRecord(
-                    inputs.replication, t, policy, x, mw,
-                    tuple(cfn(x) for cfn in cost_fns),
+    states = block.recorded.tolist()
+    mw_index = block.mw_index.tolist()
+    records = []
+    for i, r in enumerate(replications):
+        for p, policy in enumerate(names):
+            for t, x, mw in zip(slots, states[p][i], mw_index[p][i]):
+                x = tuple(x)
+                records.append(
+                    TraceRecord(r, t, policy, x, mw, tuple(fn(x) for fn in cost_fns))
                 )
-            )
-        if keep_states:
-            states.append(x)
-
-    return _PolicyRun(sampled_values, occupancy, records, states)
+    return records
 
 
 def run_replication(
@@ -255,18 +184,14 @@ def run_replication(
     """Trace one policy through one replication of the shared sample path."""
     if policy not in policies.POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
-    inputs = _slot_inputs(config, replication)
-    return _simulate_one(config, inputs, policy, sampled=()).records
+    replications = range(replication, replication + 1)
+    block = engine.simulate(config, (policy,), replications, ())
+    return _trace_records(config, (policy,), replications, block)
 
 
-def _replication_payload(args: tuple[SimConfig, int, tuple[int, ...]]):
-    config, replication, sampled = args
-    # One path object feeds every policy, which is what couples them.
-    inputs = _slot_inputs(config, replication)
-    return {
-        policy: _simulate_one(config, inputs, policy, sampled)
-        for policy in config.policies
-    }
+def _simulate_block(args: tuple[SimConfig, range, tuple[int, ...]]) -> engine.Block:
+    config, replications, sampled = args
+    return engine.simulate(config, config.policies, replications, sampled)
 
 
 def run_experiment(
@@ -280,38 +205,39 @@ def run_experiment(
     if policies.MWM not in config.policies:
         raise ValueError("the coupled comparison needs the mwm policy included")
     sampled = sampled_slots(config.horizon)
-    tasks = [(config, r, sampled) for r in range(config.replications)]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            chunk = max(1, config.replications // (max_workers * 4))
-            payloads = list(pool.map(_replication_payload, tasks, chunksize=chunk))
+    # contiguous blocks of replications, one per worker, reduced in order
+    reps = config.replications
+    workers = max(1, min(max_workers, reps))
+    blocks = [
+        range(reps * w // workers, reps * (w + 1) // workers) for w in range(workers)
+    ]
+    tasks = [(config, block, sampled) for block in blocks]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_simulate_block, tasks))
     else:
-        payloads = [_replication_payload(t) for t in tasks]
+        results = [_simulate_block(t) for t in tasks]
 
-    horizon = config.horizon
-    n_slots = len(sampled)
-    occ_sums = {p: np.zeros(horizon + 1, dtype=np.int64) for p in config.policies}
+    cost_fns = [COST_FUNCTIONS[name] for name in config.cost_functions]
+    occ_sums = {}
     values = {
-        p: {c: np.empty((config.replications, n_slots), dtype=np.int64)
+        p: {c: np.empty((reps, len(sampled)), dtype=np.int64)
             for c in config.cost_functions}
         for p in config.policies
     }
     records: list[TraceRecord] = []
-    for r, payload in enumerate(payloads):
-        for p in config.policies:
-            run = payload[p]
-            occ_sums[p] += np.asarray(run.occupancy, dtype=np.int64)
-            for c in config.cost_functions:
-                values[p][c][r, :] = run.sampled_values[c]
-            records.extend(run.records)
+    for block, result in zip(blocks, results):
+        for i, p in enumerate(config.policies):
+            occ_sums[p] = occ_sums.get(p, 0) + result.occupancy[i]
+            states = [[tuple(x) for x in rep] for rep in result.sampled[i].tolist()]
+            for c, fn in zip(config.cost_functions, cost_fns):
+                values[p][c][block.start : block.stop] = [
+                    [fn(x) for x in rep] for rep in states
+                ]
+        records.extend(_trace_records(config, config.policies, block, result))
 
     report = _build_report(config, sampled, occ_sums, values)
     return report, records
-
-
-def coupled_compare(config: SimConfig, max_workers: int = 1) -> DominanceReport:
-    """Coupled comparison of every configured policy against the mwm reference."""
-    return run_experiment(config, max_workers=max_workers)[0]
 
 
 def clopper_pearson(successes: int, trials: int, level: float = CONFIDENCE_LEVEL):
@@ -347,22 +273,30 @@ def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
     }
 
     # the success count k of any point lies in 0..reps
-    intervals = [clopper_pearson(k, reps) for k in range(reps + 1)]
+    tail_points = [(k / reps, *clopper_pearson(k, reps)) for k in range(reps + 1)]
     ccdf: dict[str, tuple] = {}
     mean_costs: dict[str, dict[str, tuple[float, ...]]] = {}
     violations: list[DominanceViolation] = []
     for cost in config.cost_functions:
         pooled = np.concatenate([values[p][cost].ravel() for p in config.policies])
         r_max = _percentile_99(pooled)
+        # k = #(value > r) for every (policy, sampled slot) and every r at once
+        thresholds = np.arange(r_max + 1)
+        counts = [
+            [
+                (reps - np.searchsorted(column, thresholds, side="right")).tolist()
+                for column in np.sort(values[p][cost], axis=0).T
+            ]
+            for p in config.policies
+        ]
         rows = []
         for slot_idx, slot in enumerate(sampled):
+            at_slot = [per_slot[slot_idx] for per_slot in counts]
             for threshold in range(r_max + 1):
                 points = {}
-                for p in config.policies:
-                    k = int((values[p][cost][:, slot_idx] > threshold).sum())
-                    lo, hi = intervals[k]
-                    points[p] = (k / reps, lo, hi)
-                    rows.append((slot, threshold, p, k / reps, lo, hi))
+                for p, ks in zip(config.policies, at_slot):
+                    point = points[p] = tail_points[ks[threshold]]
+                    rows.append((slot, threshold, p, *point))
                 mwm_p, mwm_lo, _ = points[policies.MWM]
                 for p in config.policies:
                     pol_p, _, pol_hi = points[p]
@@ -406,6 +340,10 @@ def _stability_check(occ_sum: np.ndarray, reps: int, horizon: int) -> StabilityC
 
 # --- order audit ------------------------------------------------------------
 
+# The audit simulates replications in blocks of at most this many state cells.
+_AUDIT_BLOCK_CELLS = 1 << 16
+
+
 @dataclass(frozen=True)
 class PreceqAuditReport:
     """Slot-by-slot comparison of the mwm trajectory against a baseline's.
@@ -436,19 +374,21 @@ def per_slot_preceq_audit(config: SimConfig, baseline: str) -> PreceqAuditReport
     """
     if baseline not in policies.POLICY_NAMES:
         raise ValueError(f"unknown policy {baseline!r}")
+    names = tuple(dict.fromkeys((policies.MWM, baseline)))
+    n = config.params.n_queues
+    horizon = config.horizon
+    # full states are kept, so blocks of replications bound the memory
+    size = max(1, _AUDIT_BLOCK_CELLS // (len(names) * (horizon + 1) * n))
     holding = 0
     failures = []
-    for r in range(config.replications):
-        inputs = _slot_inputs(config, r)
-        run_m = _simulate_one(config, inputs, policies.MWM, (), keep_states=True)
-        run_b = _simulate_one(config, inputs, baseline, (), keep_states=True)
-        for t in range(1, config.horizon + 1):
-            xm = run_m.states[t]
-            xb = run_b.states[t]
-            if preceq_p(xm, xb):
-                holding += 1
-            else:
-                failures.append((r, t, xm, xb))
+    for first in range(0, config.replications, size):
+        block = range(first, min(first + size, config.replications))
+        states = engine.simulate(config, names, block, (), keep_states=True).states
+        below = weakly_submajorized(states[0, :, 1:], states[-1, :, 1:])
+        holding += int(below.sum())
+        for r, t in zip(*np.nonzero(~below)):
+            xm, xb = states[[0, -1], r, t + 1].tolist()
+            failures.append((first + int(r), int(t) + 1, tuple(xm), tuple(xb)))
     return PreceqAuditReport(
         baseline=baseline,
         replications=config.replications,

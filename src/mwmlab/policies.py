@@ -66,20 +66,6 @@ def random_maximal_from_uniforms(
     return _maximal_from_order(edges, order)
 
 
-def decide_random_maximal(
-    x_prev: Sequence[int], c: Sequence[Sequence[int]], gen: np.random.Generator
-) -> Matching:
-    """Uniformly random maximal matching on the serviceable edges.
-
-    Consumes one uniform per serviceable edge from ``gen``, which must come
-    from the policy-private stream so the shared sample path stays untouched.
-    """
-    edges = _serviceable_edges(x_prev, c)
-    if not edges:
-        return ()
-    return random_maximal_from_uniforms(x_prev, c, gen.random(len(edges)))
-
-
 def decide_greedy_lcq(x_prev: Sequence[int], c: Sequence[Sequence[int]]) -> Matching:
     """Repeatedly serve the longest still-unmatched connected queue.
 

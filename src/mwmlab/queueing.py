@@ -87,19 +87,6 @@ def serve(
     return tuple(out)
 
 
-def step(
-    x_prev: Sequence[int],
-    c: Sequence[Sequence[int]],
-    a: Sequence[int],
-    m: Sequence[Pair],
-) -> QueueState:
-    """One full slot: serve under the matching, then add arrivals."""
-    served = serve(x_prev, c, m)
-    if len(a) != len(served):
-        raise ValueError(f"arrival vector has length {len(a)} for {len(served)} queues")
-    return tuple(s + ai for s, ai in zip(served, a))
-
-
 class SamplePath:
     """One replication's full realization of connectivities and arrivals.
 

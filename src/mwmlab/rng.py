@@ -11,6 +11,8 @@ and arrivals.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 STREAM_CONNECTIVITY = 0
@@ -54,6 +56,10 @@ def slot_stream(
     return np.random.Generator(bitgen)
 
 
+def _slot_width(values_per_slot: int) -> int:
+    return blocks_per_slot(values_per_slot) * _WORDS_PER_BLOCK
+
+
 def path_uniforms(
     seed: int, replication: int, kind: int, horizon: int, values_per_slot: int
 ) -> np.ndarray:
@@ -65,7 +71,19 @@ def path_uniforms(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one slot")
-    width = blocks_per_slot(values_per_slot) * _WORDS_PER_BLOCK
-    bitgen = np.random.Philox(key=stream_key(seed, replication, kind), counter=0)
-    u = np.random.Generator(bitgen).random((horizon, width))
-    return u[:, :values_per_slot]
+    gen = slot_stream(seed, replication, kind, 1, values_per_slot)
+    return gen.random((horizon, _slot_width(values_per_slot)))[:, :values_per_slot]
+
+
+def slot_chunks(
+    seed: int, replication: int, kind: int, values_per_slot: int, chunk: int
+) -> Iterator[np.ndarray]:
+    """The rows of ``path_uniforms`` from slot 1 on, ``chunk`` slots at a time.
+
+    Each slot's draws fill whole counter blocks, so reading the stream on in
+    pieces continues at the next slot's counter offset.
+    """
+    gen = slot_stream(seed, replication, kind, 1, values_per_slot)
+    width = _slot_width(values_per_slot)
+    while True:
+        yield gen.random((chunk, width))[:, :values_per_slot]

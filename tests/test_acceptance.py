@@ -9,6 +9,7 @@ import random
 import sys
 import time
 
+from mwmlab import engine
 from mwmlab.balance import (
     COST_FUNCTIONS,
     preceq_p,
@@ -17,8 +18,6 @@ from mwmlab.balance import (
 )
 from mwmlab.harness import (
     SimConfig,
-    _simulate_one,
-    _slot_inputs,
     dominance_csv_lines,
     run_experiment,
     trace_csv_lines,
@@ -168,13 +167,12 @@ def test_criterion_6_degenerate_exactness():
         seed=42,
         policies=("mwm", "random_maximal", "greedy_lcq", "fixed_order"),
     )
+    block = engine.simulate(
+        full, full.policies, range(full.replications), (), keep_states=True
+    )
     collapse_ok = True
     for r in range(full.replications):
-        trajectories = []
-        for policy in full.policies:
-            path = _slot_inputs(full, r)
-            run = _simulate_one(full, path, policy, sampled=(), keep_states=True)
-            trajectories.append(run.states)
+        trajectories = [block.states[p, r].tolist() for p in range(len(full.policies))]
         collapse_ok = collapse_ok and all(t == trajectories[0] for t in trajectories)
 
     idle = SimConfig(

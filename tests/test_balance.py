@@ -13,6 +13,7 @@ import random
 from collections import deque
 from itertools import product
 
+import numpy as np
 import pytest
 
 from mwmlab import balance
@@ -39,6 +40,7 @@ from mwmlab.balance import (
     verify_lemma1,
     verify_lemma2_corollary1,
     verify_monotone_on_pairs,
+    weakly_submajorized,
 )
 from mwmlab.matching import enumerate_matchings, matching_weight
 from mwmlab.policies import decide_mwm
@@ -180,6 +182,24 @@ class TestPreceqP:
                     assert preceq_p(below, above) == (below in lower_set)
                     pairs += 1
         assert pairs == 364_375
+
+    def test_vector_test_agrees_with_scalar_order(self):
+        # every pair with n <= 4 and entries <= 3, all at once
+        for n in (1, 2, 3, 4):
+            vectors = np.array(list(product(range(4), repeat=n)))
+            lower = np.repeat(vectors, len(vectors), axis=0)
+            upper = np.tile(vectors, (len(vectors), 1))
+            below = weakly_submajorized(lower, upper)
+            assert below.tolist() == [
+                preceq_p(a, b) for a, b in zip(lower.tolist(), upper.tolist())
+            ]
+        # leading axes are kept: (R, T, N) states give (R, T) verdicts
+        rnd = np.random.default_rng(5)
+        lower, upper = rnd.integers(0, 6, (2, 3, 7, 5))
+        verdicts = weakly_submajorized(lower, upper)
+        assert verdicts.shape == (3, 7)
+        for r, t in product(range(3), range(7)):
+            assert verdicts[r, t] == preceq_p(lower[r, t].tolist(), upper[r, t].tolist())
 
     def test_transitivity_on_random_triples(self):
         rnd = random.Random(2024)

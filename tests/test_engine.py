@@ -1,0 +1,238 @@
+"""Lockstep engine against a scalar reference simulator and the weighting fact."""
+
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+
+from mwmlab import engine, matching, rng
+from mwmlab.harness import SimConfig, run_experiment, sampled_slots
+from mwmlab.matching import enumerate_matchings, matching_weight
+from mwmlab.policies import (
+    DETERMINISTIC_DECIDERS,
+    POLICY_NAMES,
+    random_maximal_from_uniforms,
+)
+from mwmlab.queueing import SamplePath, SystemParams, serve
+
+
+def reference_run(config, policy, replication):
+    """States after every slot and each slot's matching weight, one slot at a time."""
+    params = config.params
+    n, k = params.n_queues, params.n_servers
+    path = SamplePath(params, config.seed, replication, config.horizon)
+    draws = rng.path_uniforms(
+        config.seed, replication, rng.STREAM_POLICY, config.horizon, n * k
+    )
+    x = config.start_state()
+    states, weights = [x], []
+    for t in range(config.horizon):
+        c = path.connectivity[t].tolist()
+        if policy == "random_maximal":
+            m = random_maximal_from_uniforms(x, c, draws[t])
+        else:
+            m = DETERMINISTIC_DECIDERS[policy](x, c)
+        weights.append(matching_weight(x, c, m))
+        x = tuple(s + a for s, a in zip(serve(x, c, m), path.arrivals[t].tolist()))
+        states.append(x)
+    return states, weights
+
+
+SHAPES = [(4, 2, 150), (3, 3, 150), (2, 4, 150), (5, 2, 150), (8, 8, 40)]
+
+
+def shape_config(n, k, horizon, **overrides):
+    base = dict(
+        params=SystemParams(n, k, 0.5, 0.45),
+        horizon=horizon,
+        replications=3,
+        seed=11 * n + k,
+        policies=("greedy_lcq", "mwm", "random_maximal", "fixed_order"),
+        record_interval=1,
+        initial_state=tuple(range(n)),
+    )
+    base.update(overrides)
+    return SimConfig(**base)
+
+
+def both_paths(n, k):
+    """Table limits that send an (n, k) system through each kernel it can use."""
+    limits = [0]
+    if n * k <= matching.ENUMERATION_LIMIT:
+        limits.append(1 << 30)
+    return limits
+
+
+@pytest.mark.parametrize("n,k,horizon", SHAPES)
+def test_engine_matches_scalar_reference(n, k, horizon, monkeypatch):
+    cfg = shape_config(n, k, horizon)
+    reference = {
+        (p, r): reference_run(cfg, p, r)
+        for p in cfg.policies
+        for r in range(cfg.replications)
+    }
+    for limit in both_paths(n, k):
+        monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
+        block = engine.simulate(
+            cfg, cfg.policies, range(cfg.replications), sampled_slots(horizon),
+            keep_states=True,
+        )
+        for i, p in enumerate(cfg.policies):
+            occupancy = np.zeros(horizon + 1, dtype=np.int64)
+            for r in range(cfg.replications):
+                states, weights = reference[p, r]
+                assert block.states[i, r].tolist() == [list(x) for x in states]
+                assert block.recorded[i, r].tolist() == [list(x) for x in states[1:]]
+                assert block.mw_index[i, r].tolist() == weights
+                assert block.sampled[i, r].tolist() == [
+                    list(states[t]) for t in sampled_slots(horizon)
+                ]
+                occupancy += [sum(x) for x in states]
+            assert block.occupancy[i].tolist() == occupancy.tolist()
+
+
+def test_wide_fallback_solver_matches_the_dp(monkeypatch):
+    cfg = shape_config(3, 4, 60)
+    names = ("mwm",)
+    dp = engine.simulate(cfg, names, range(2), (), keep_states=True).states
+    monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", 0)
+    monkeypatch.setattr(matching, "_DP_MAX_COLS", 2)
+    solver = engine.simulate(cfg, names, range(2), (), keep_states=True).states
+    assert np.array_equal(dp, solver)
+
+
+def _instances(n, k, max_x):
+    """Every (x, c) with entries of x up to max_x, as (B, N) and (B, N, K) arrays."""
+    xs = np.array(list(product(range(max_x + 1), repeat=n)), dtype=np.int64)
+    bits = np.arange(1 << (n * k))
+    cs = ((bits[:, None] >> np.arange(n * k)) & 1).astype(bool).reshape(-1, n, k)
+    x = np.repeat(xs, len(cs), axis=0)
+    c = np.tile(cs, (len(xs), 1, 1))
+    return x, c
+
+
+def _policy_weights(policy, x, c, u):
+    """Edge weights of the weighting fact, (B, N, K) integers."""
+    b, n, k = c.shape
+    if policy == "mwm":
+        return np.repeat(x[:, :, None], k, axis=2)
+    if policy == "random_maximal":
+        serv = (c & (x[:, :, None] > 0)).reshape(b, -1)
+        taken = np.cumsum(serv, axis=1) - serv  # the j-th serviceable edge takes draw j
+        rank = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1)
+        rho = np.take_along_axis(rank, taken, axis=1)
+        return (1 << (n * k - 1 - rho)).reshape(b, n, k)
+    queue = np.arange(n)
+    if policy == "greedy_lcq":
+        ahead = (x[:, None, :] > x[:, :, None]) | (
+            (x[:, None, :] == x[:, :, None]) & (queue[None, :] < queue[:, None])
+        )
+        queue = ahead.sum(axis=2)
+    weights = (k + 1) ** (n - 1 - queue)[..., None] * np.arange(k, 0, -1)
+    return np.broadcast_to(weights, c.shape)
+
+
+@pytest.mark.parametrize("n,k", list(product((1, 2, 3), repeat=2)))
+def test_weighting_fact_exhaustive(n, k):
+    # every policy is the lexicographically smallest maximum-weight matching
+    # over serviceable edges under its own weights, on every instance with
+    # N, K <= 3 and x <= 3 (one draw row per instance for random_maximal)
+    x, c = _instances(n, k, 3)
+    u = np.random.default_rng(100 * n + k).random((len(x), n * k))
+    table = sorted(enumerate_matchings(n, k))
+    incidence = np.zeros((len(table), n, k), dtype=np.int64)
+    for j, m in enumerate(table):
+        for q, s in m:
+            incidence[j, q, s] = 1
+    serv = c & (x[:, :, None] > 0)
+    usable = ~((incidence[None] == 1) & ~serv[:, None]).any(axis=(2, 3))
+    xs, cs = x.tolist(), c.astype(int).tolist()
+    for policy in POLICY_NAMES:
+        w = _policy_weights(policy, x, c, u)
+        score = np.where(usable, (incidence[None] * w[:, None]).sum(axis=(2, 3)), -1)
+        best = score.argmax(axis=1)
+        for i in range(len(xs)):
+            if policy == "random_maximal":
+                m = random_maximal_from_uniforms(xs[i], cs[i], u[i])
+            else:
+                m = DETERMINISTIC_DECIDERS[policy](xs[i], cs[i])
+            assert m == table[best[i]], (policy, xs[i], cs[i])
+
+
+@pytest.mark.parametrize("n,k", list(product((1, 2, 3), repeat=2)))
+def test_both_kernels_decide_like_the_scalar_policies(n, k):
+    x, c = _instances(n, k, 3)
+    u = np.random.default_rng(7 * n + k).random((len(x), n * k))
+    ranks = engine._draw_ranks(u)
+    xs, cs = x.tolist(), c.astype(int).tolist()
+    names = POLICY_NAMES
+    expected = np.zeros((len(names), len(x), n), dtype=np.int64)
+    for p, policy in enumerate(names):
+        for i in range(len(xs)):
+            if policy == "random_maximal":
+                m = random_maximal_from_uniforms(xs[i], cs[i], u[i])
+            else:
+                m = DETERMINISTIC_DECIDERS[policy](xs[i], cs[i])
+            for q, _ in m:
+                expected[p, i, q] = 1
+    rows = np.broadcast_to(x, (len(names), *x.shape)).copy()
+    for kernel in (engine._TableKernel, engine._SplitKernel):
+        served = kernel(n, k, names, len(x))(rows, c, ranks)
+        assert np.array_equal(served, expected), kernel.__name__
+
+
+def test_kernel_paths_give_the_same_outputs(monkeypatch):
+    for n, k in [(4, 2), (3, 3), (2, 4), (5, 2)]:
+        cfg = shape_config(n, k, 200, record_interval=9, replications=4,
+                           cost_functions=("total_occupancy", "max_queue"))
+        outputs = []
+        for limit in (0, 1 << 30):
+            monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
+            outputs.append(run_experiment(cfg))
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 40])
+def test_chunk_size_does_not_change_the_outputs(cells, monkeypatch):
+    cfg = shape_config(4, 2, 203, record_interval=7, replications=3)
+    default = run_experiment(cfg)
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", cells)
+    assert run_experiment(cfg) == default
+
+
+def test_audit_chunk_and_block_sizes_do_not_change_states(monkeypatch):
+    cfg = shape_config(3, 2, 97)
+    whole = engine.simulate(cfg, cfg.policies, range(3), (), keep_states=True).states
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 1)
+    parts = [
+        engine.simulate(cfg, cfg.policies, range(r, r + 1), (), keep_states=True).states
+        for r in range(3)
+    ]
+    assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+
+def test_memory_stays_bounded_as_the_horizon_grows(monkeypatch):
+    # small chunks, so that both horizons span many of them
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 1 << 10)
+
+    def peak(horizon):
+        cfg = SimConfig(
+            params=SystemParams(4, 2, 0.5, 0.2),
+            horizon=horizon,
+            replications=2,
+            seed=42,
+            policies=POLICY_NAMES,
+            record_interval=horizon // 100,
+        )
+        tracemalloc.start()
+        try:
+            engine.simulate(cfg, cfg.policies, range(2), sampled_slots(horizon))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(1_000), peak(10_000)
+    # only the per-slot occupancy sums, (P, T + 1) int64, grow with the horizon
+    growth = len(POLICY_NAMES) * 8 * 9_000
+    assert long - short < growth + (1 << 14), (short, long)

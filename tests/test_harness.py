@@ -10,10 +10,7 @@ from mwmlab.balance import COST_FUNCTIONS
 from mwmlab.harness import (
     CONFIDENCE_LEVEL,
     SimConfig,
-    _simulate_one,
-    _slot_inputs,
     clopper_pearson,
-    coupled_compare,
     dominance_csv_lines,
     format_audit_report,
     format_dominance_summary,
@@ -23,7 +20,8 @@ from mwmlab.harness import (
     sampled_slots,
     trace_csv_lines,
 )
-from mwmlab.queueing import SamplePath, SystemParams, step
+from mwmlab.queueing import SystemParams, serve
+from mwmlab import engine
 from mwmlab import policies as pol
 from mwmlab import rng
 from test_balance import bfs_lower_set
@@ -61,6 +59,11 @@ class TestSimConfig:
             make_config(record_interval=0)
         with pytest.raises(ValueError):
             make_config(initial_state=(1, 2))
+
+    def test_queue_lengths_must_fit_the_engine(self):
+        with pytest.raises(ValueError, match="2\\*\\*48"):
+            make_config(initial_state=(2**48 - 64, 0, 0))
+        make_config(initial_state=(2**48 - 65, 0, 0))
 
     def test_start_state(self):
         assert make_config().start_state() == (0, 0, 0)
@@ -131,13 +134,13 @@ class TestRunReplication:
                 a = tuple(int(v) for v in (u_a.random(n) < cfg.params.arrival_prob).tolist())
                 if policy == "random_maximal":
                     gen = rng.slot_stream(cfg.seed, 2, rng.STREAM_POLICY, t, n * k)
-                    m = pol.decide_random_maximal(x, c, gen)
+                    m = pol.random_maximal_from_uniforms(x, c, gen.random(n * k))
                 else:
                     m = pol.DETERMINISTIC_DECIDERS[policy](x, c)
                 from mwmlab.matching import matching_weight
 
                 mw = matching_weight(x, c, m)
-                x = step(x, c, a, m)
+                x = tuple(s + ai for s, ai in zip(serve(x, c, m), a))
                 rec = records[t - 1]
                 assert rec.slot == t
                 assert rec.state == x
@@ -171,11 +174,8 @@ class TestCoupling:
         cfg = make_config(
             params=SystemParams(2, 3, 1.0, 0.5), horizon=60, replications=1
         )
-        states = {}
-        inputs = _slot_inputs(cfg, 0)
-        for policy in cfg.policies:
-            run = _simulate_one(cfg, inputs, policy, sampled=(), keep_states=True)
-            states[policy] = run.states
+        block = engine.simulate(cfg, cfg.policies, range(1), (), keep_states=True)
+        states = dict(zip(cfg.policies, block.states[:, 0].tolist()))
         reference = states["mwm"]
         for policy in cfg.policies:
             assert states[policy] == reference
@@ -184,13 +184,13 @@ class TestCoupling:
 class TestCoupledCompare:
     def test_self_comparison_has_no_violations(self):
         cfg = make_config(policies=("mwm",), replications=12, horizon=32)
-        report = coupled_compare(cfg)
+        report = run_experiment(cfg)[0]
         assert report.violations == ()
 
     def test_requires_mwm(self):
         cfg = make_config(policies=("greedy_lcq",))
         with pytest.raises(ValueError):
-            coupled_compare(cfg)
+            run_experiment(cfg)
 
     def test_report_reproducible_and_thread_invariant(self):
         cfg = make_config(horizon=48, replications=6)
@@ -202,7 +202,7 @@ class TestCoupledCompare:
 
     def test_ccdf_monotone_and_bounded(self):
         cfg = make_config(horizon=48, replications=10)
-        report = coupled_compare(cfg)
+        report = run_experiment(cfg)[0]
         for cost in cfg.cost_functions:
             series = {}
             for slot, r, policy, ccdf, lo, hi in report.ccdf[cost]:
@@ -211,6 +211,20 @@ class TestCoupledCompare:
             for points in series.values():
                 values = [p for _, p in sorted(points)]
                 assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_ccdf_counts_match_records(self):
+        cfg = make_config(horizon=16, replications=7, record_interval=1)
+        report, records = run_experiment(cfg)
+        for cost_idx, cost in enumerate(cfg.cost_functions):
+            for slot, r, policy, ccdf, lo, hi in report.ccdf[cost]:
+                vals = [
+                    rec.costs[cost_idx]
+                    for rec in records
+                    if rec.policy == policy and rec.slot == slot
+                ]
+                k = sum(v > r for v in vals)
+                assert ccdf == k / cfg.replications
+                assert (lo, hi) == clopper_pearson(k, cfg.replications)
 
     def test_mean_costs_match_records(self):
         cfg = make_config(horizon=16, replications=5, record_interval=1,
@@ -231,7 +245,7 @@ class TestCoupledCompare:
 
     def test_zero_arrivals_zero_occupancy_for_all(self):
         cfg = make_config(params=SystemParams(3, 2, 0.5, 0.0), horizon=32)
-        report = coupled_compare(cfg)
+        report = run_experiment(cfg)[0]
         for policy in cfg.policies:
             assert all(v == 0.0 for v in report.mean_occupancy[policy])
         assert report.violations == ()
@@ -245,7 +259,7 @@ class TestCoupledCompare:
             replications=10,
             policies=("mwm", "greedy_lcq"),
         )
-        report = coupled_compare(cfg)
+        report = run_experiment(cfg)[0]
         assert report.mean_occupancy["mwm"] == report.mean_occupancy["greedy_lcq"]
         assert report.violations == ()
 
@@ -320,12 +334,12 @@ class TestAudit:
         report = per_slot_preceq_audit(cfg, "fixed_order")
         assert report.slots_checked == 3 * 80
         holding = 0
-        for r in range(cfg.replications):
-            inputs = _slot_inputs(cfg, r)
-            xm = _simulate_one(cfg, inputs, "mwm", (), keep_states=True).states
-            xb = _simulate_one(cfg, inputs, "fixed_order", (), keep_states=True).states
+        block = engine.simulate(
+            cfg, ("mwm", "fixed_order"), range(cfg.replications), (), keep_states=True
+        )
+        for xm, xb in zip(*block.states.tolist()):
             holding += sum(
-                xm[t] in bfs_lower_set(xb[t]) for t in range(1, cfg.horizon + 1)
+                tuple(xm[t]) in bfs_lower_set(xb[t]) for t in range(1, cfg.horizon + 1)
             )
         assert report.slots_holding == holding
         assert len(report.failures) == report.slots_checked - holding
@@ -347,13 +361,13 @@ class TestCsvShapes:
 
     def test_dominance_header(self):
         cfg = make_config(horizon=8, replications=3)
-        report = coupled_compare(cfg)
+        report = run_experiment(cfg)[0]
         lines = list(dominance_csv_lines(report, "total_occupancy"))
         assert lines[0] == "slot,r,policy,ccdf,ci_low,ci_high"
         assert len(lines) > 1
 
     def test_summary_mentions_violation_count(self):
         cfg = make_config(horizon=8, replications=3)
-        report = coupled_compare(cfg)
+        report = run_experiment(cfg)[0]
         text = format_dominance_summary(report)
         assert "dominance violations: 0" in text

@@ -14,13 +14,17 @@ from mwmlab.policies import (
     decide_fixed_order,
     decide_greedy_lcq,
     decide_mwm,
-    decide_random_maximal,
     random_maximal_from_uniforms,
 )
 
 
 def policy_gen(slot: int, n_values: int = 8, seed: int = 123):
     return rng.slot_stream(seed, 0, rng.STREAM_POLICY, slot, n_values)
+
+
+def random_maximal(x, c, gen):
+    """The random maximal matching on one slot's draws, one per queue-server pair."""
+    return random_maximal_from_uniforms(x, c, gen.random(len(x) * len(c[0])))
 
 
 def instance_strategy(max_dim=3, max_len=3):
@@ -63,31 +67,31 @@ class TestDecideMwm:
 
 class TestDecideRandomMaximal:
     def test_no_edges(self):
-        assert decide_random_maximal((1, 1), ((0, 0), (0, 0)), policy_gen(1)) == ()
-        assert decide_random_maximal((0, 0), ((1, 1), (1, 1)), policy_gen(1)) == ()
+        assert random_maximal((1, 1), ((0, 0), (0, 0)), policy_gen(1)) == ()
+        assert random_maximal((0, 0), ((1, 1), (1, 1)), policy_gen(1)) == ()
 
     def test_unique_maximal(self):
         for slot in range(1, 30):
-            m = decide_random_maximal((1, 1), ((1, 0), (0, 1)), policy_gen(slot))
+            m = random_maximal((1, 1), ((1, 0), (0, 1)), policy_gen(slot))
             assert m == ((0, 0), (1, 1))
 
     def test_uniform_over_symmetric_perfect_matchings(self):
         counts = {((0, 0), (1, 1)): 0, ((0, 1), (1, 0)): 0}
         for slot in range(1, 10_001):
-            m = decide_random_maximal((1, 1), ((1, 1), (1, 1)), policy_gen(slot))
+            m = random_maximal((1, 1), ((1, 1), (1, 1)), policy_gen(slot))
             counts[m] += 1
         frac = counts[((0, 0), (1, 1))] / 10_000
         assert abs(frac - 0.5) < 0.02
 
     def test_deterministic_given_stream_position(self):
-        a = decide_random_maximal((2, 2), ((1, 1), (1, 1)), policy_gen(3))
-        b = decide_random_maximal((2, 2), ((1, 1), (1, 1)), policy_gen(3))
+        a = random_maximal((2, 2), ((1, 1), (1, 1)), policy_gen(3))
+        b = random_maximal((2, 2), ((1, 1), (1, 1)), policy_gen(3))
         assert a == b
 
     @given(instance_strategy(), st.integers(1, 50))
     def test_maximality(self, inst, slot):
         x, c = inst
-        m = decide_random_maximal(x, c, policy_gen(slot, n_values=16))
+        m = random_maximal(x, c, policy_gen(slot, n_values=16))
         used_q = {q for q, _ in m}
         used_s = {s for _, s in m}
         for q in range(len(x)):
@@ -129,7 +133,7 @@ class TestCrossPolicy:
         ]:
             n, k = len(x), len(c[0])
             outs = [fn(x, c) for fn in DETERMINISTIC_DECIDERS.values()]
-            outs.append(decide_random_maximal(x, c, policy_gen(1, n_values=16)))
+            outs.append(random_maximal(x, c, policy_gen(1, n_values=16)))
             for m in outs:
                 validate_matching(m, n, k)
                 for q, s in m:
@@ -148,14 +152,14 @@ class TestCrossPolicy:
                     top = matching_weight(x, c, decide_mwm(x, c))
                     assert matching_weight(x, c, decide_greedy_lcq(x, c)) <= top
                     assert matching_weight(x, c, decide_fixed_order(x, c)) <= top
-                    m = decide_random_maximal(x, c, policy_gen(1, n_values=16))
+                    m = random_maximal(x, c, policy_gen(1, n_values=16))
                     assert matching_weight(x, c, m) <= top
 
     def test_work_conservation_of_baselines(self):
         x, c = (0, 2), ((1, 1), (0, 1))
         assert decide_greedy_lcq(x, c) != ()
         assert decide_fixed_order(x, c) != ()
-        assert decide_random_maximal(x, c, policy_gen(1)) != ()
+        assert random_maximal(x, c, policy_gen(1)) != ()
 
 
 class TestDispatch:
@@ -175,6 +179,7 @@ class TestDispatch:
         # the randomized policy is never dispatched without its private stream
         assert "random_maximal" not in DETERMINISTIC_DECIDERS
         x, c = (2, 1), ((1, 1), (1, 1))
-        assert decide_random_maximal(x, c, policy_gen(1)) == (
+        # one draw per serviceable edge, in row-major order
+        assert random_maximal(x, c, policy_gen(1)) == (
             random_maximal_from_uniforms(x, c, policy_gen(1).random(4))
         )

@@ -15,6 +15,15 @@ def test_slot_stream_matches_path_rows():
             assert np.array_equal(gen.random(values), block[t - 1])
 
 
+def test_slot_chunks_continue_the_path():
+    for values, chunk in ((3, 1), (8, 4), (5, 7), (6, 40)):
+        block = rng.path_uniforms(7, 2, rng.STREAM_POLICY, 20, values)
+        chunks = rng.slot_chunks(7, 2, rng.STREAM_POLICY, values, chunk)
+        pieces = [next(chunks) for _ in range(-(-20 // chunk))]
+        assert all(p.shape == (chunk, values) for p in pieces)
+        assert np.array_equal(np.concatenate(pieces)[:20], block)
+
+
 def test_slot_positions_are_independent_of_consumption_order():
     # reading slot 5 first must not disturb slot 2
     a = rng.slot_stream(1, 0, rng.STREAM_ARRIVALS, 5, 4).random(4)
