@@ -14,8 +14,11 @@ for ``simulate`` (0 means one per CPU).
 from __future__ import annotations
 
 import argparse
+# argparse's message lookup imports locale inside the first command otherwise
+import locale  # noqa: F401
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import balance, harness, policies
@@ -208,24 +211,39 @@ def worker_count() -> int:
     return n
 
 
+def _make_out_dir(out_dir: str) -> Path:
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
+    return out
+
+
+def _write_lines(path, lines: Iterable[str]) -> None:
+    try:
+        harness.write_lines(path, lines)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     config, out_dir = build_sim_config(_merge_settings(args))
     workers = worker_count()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     print(f"simulate: {config.params.n_queues} queues, {config.params.n_servers} "
           f"servers, p={config.params.connect_prob}, lambda={config.params.arrival_prob}, "
           f"horizon={config.horizon}, replications={config.replications}, "
           f"seed={config.seed}, workers={workers}")
     print(f"policies: {', '.join(config.policies)}")
     report, records = harness.run_experiment(config, max_workers=workers)
-    harness.write_lines(out / "trace.csv", harness.trace_csv_lines(config, records))
+    _write_lines(out / "trace.csv", harness.trace_csv_lines(config, records))
     for cost in config.cost_functions:
-        harness.write_lines(
+        _write_lines(
             out / f"dominance_{cost}.csv", harness.dominance_csv_lines(report, cost)
         )
     summary = harness.format_dominance_summary(report)
-    harness.write_lines(out / "summary.txt", summary.splitlines())
+    _write_lines(out / "summary.txt", summary.splitlines())
     print(summary)
     return 0
 
@@ -235,10 +253,7 @@ def _cmd_verify_lemmas(args) -> int:
     text = balance.format_sweep_report(report)
     print(text)
     if args.out:
-        try:
-            harness.write_lines(args.out, text.splitlines())
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}") from exc
+        _write_lines(args.out, text.splitlines())
     return 0 if report.violation_count == 0 else 1
 
 
@@ -252,11 +267,10 @@ def _cmd_audit_order(args) -> int:
         raise CliError(
             f"baseline must be one of {policies.POLICY_NAMES}, got {baseline!r}"
         )
+    out = _make_out_dir(out_dir)
     report = harness.per_slot_preceq_audit(config, baseline)
     text = harness.format_audit_report(report)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    harness.write_lines(out / "audit_order.txt", text.splitlines())
+    _write_lines(out / "audit_order.txt", text.splitlines())
     print(text)
     return 0
 

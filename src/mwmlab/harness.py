@@ -10,12 +10,11 @@ baseline's.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import engine, policies, rng
 from .balance import COST_FUNCTIONS, weakly_submajorized
@@ -213,6 +212,9 @@ def run_experiment(
     ]
     tasks = [(config, block, sampled) for block in blocks]
     if workers > 1:
+        # imported here: the process machinery costs every command start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_block, tasks))
     else:
@@ -241,18 +243,99 @@ def run_experiment(
 
 
 def clopper_pearson(successes: int, trials: int, level: float = CONFIDENCE_LEVEL):
-    """Two-sided exact binomial confidence interval for a proportion."""
+    """Two-sided exact binomial confidence interval for a proportion.
+
+    With q = (1 - level) / 2, the lower bound p solves P(Bin(trials, p) >= k) = q
+    and the upper bound solves P(Bin(trials, p) <= k) = q. The upper bound at k
+    is one minus the lower bound at trials - k. Both come from a root s = log p
+    of the lower-bound equation, as exp(s) and -expm1(s), so each keeps its
+    relative accuracy near 0 and near 1.
+    """
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in 0..trials")
-    alpha = 1.0 - level
-    # betaincinv(a, b, q) is the q-quantile of Beta(a, b)
-    lo = 0.0 if successes == 0 else float(
-        betaincinv(successes, trials - successes + 1, alpha / 2)
-    )
-    hi = 1.0 if successes == trials else float(
-        betaincinv(successes + 1, trials - successes, 1 - alpha / 2)
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    log_q = math.log((1.0 - level) / 2)
+    lo = 0.0 if successes == 0 else math.exp(_log_lower_bound(successes, trials, log_q))
+    hi = 1.0 if successes == trials else -math.expm1(
+        _log_lower_bound(trials - successes, trials, log_q)
     )
     return lo, hi
+
+
+# log(m!) - (m log m - m + log(2 pi m) / 2) for m = 1..15, rounded from 50 digits;
+# from 16 on, five terms of the Stirling series reach double precision.
+_STIRLING_ERRORS = (
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+)
+
+# Newton converges quadratically here, so once a step is below 1e-8 of
+# min(1, |log p|) the root is known to about 1e-16 of the same scale.
+_NEWTON_TOLERANCE = 1e-8
+_NEWTON_STEPS = 64
+
+
+def _stirling_error(m: int) -> float:
+    if m <= len(_STIRLING_ERRORS):
+        return _STIRLING_ERRORS[m - 1]
+    w = 1.0 / (m * m)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - w / 1188) * w) * w) * w) / m
+
+
+def _log_lower_bound(k: int, n: int, log_q: float) -> float:
+    """log p where P(Bin(n, p) >= k) = exp(log_q), for 1 <= k <= n.
+
+    Newton's method in s = log p. The log tail is increasing and concave in
+    s, so from the union-bound start C(n, k) p^k = q, which lies left of the
+    root, the steps approach the root from the left; a normal-approximation
+    start that lies right of it returns to the left in one step. The tail
+    is the point mass at k, from Stirling's series without cancellation,
+    times the ratio sum over k..n, which stops once its terms are negligible.
+    """
+    if k == n:
+        return log_q / n
+    x = k / n
+    log_comb = (
+        _stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
+        + 0.5 * math.log(n / (2 * math.pi * k * (n - k)))
+        - k * math.log(x) - (n - k) * math.log1p(-x)
+    )
+    floor = (log_q - log_comb) / k
+    # the Wilson score bound, with an asymptotic square of the normal quantile
+    z2 = max(0.0, -2 * log_q - math.log(-4 * math.pi * log_q))
+    wilson = (k + z2 / 2 - math.sqrt(z2 * (k * (n - k) / n + z2 / 4))) / (n + z2)
+    s = max(floor, math.log(wilson))
+    for _ in range(_NEWTON_STEPS):
+        # log(1 - p), accurate at either end
+        log_b = math.log(-math.expm1(s)) if s > -math.log(2) else math.log1p(-math.exp(s))
+        odds = math.exp(s - log_b)
+        term = ratio_sum = 1.0
+        for j in range(k, n):
+            term *= (n - j) / (j + 1) * odds
+            ratio_sum += term
+            if term < 1e-17 * ratio_sum:
+                break
+        g = log_comb + k * s + (n - k) * log_b + math.log(ratio_sum) - log_q
+        # d(log tail)/ds = k / ratio_sum
+        step = g * ratio_sum / k
+        s = max(s - step, floor)
+        if abs(step) <= _NEWTON_TOLERANCE * min(1.0, -s):
+            break
+    return s
 
 
 def _percentile_99(flat: np.ndarray) -> int:

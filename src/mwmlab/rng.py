@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 STREAM_CONNECTIVITY = 0
 STREAM_ARRIVALS = 1
@@ -47,13 +48,13 @@ def blocks_per_slot(values_per_slot: int) -> int:
 
 def slot_stream(
     seed: int, replication: int, kind: int, slot: int, values_per_slot: int
-) -> np.random.Generator:
+) -> Generator:
     """Generator positioned at the start of 1-based ``slot`` of a stream."""
     if slot < 1:
         raise ValueError(f"slot indices are 1-based, got {slot}")
     counter = (slot - 1) * blocks_per_slot(values_per_slot)
-    bitgen = np.random.Philox(key=stream_key(seed, replication, kind), counter=counter)
-    return np.random.Generator(bitgen)
+    bitgen = Philox(key=stream_key(seed, replication, kind), counter=counter)
+    return Generator(bitgen)
 
 
 def _slot_width(values_per_slot: int) -> int:

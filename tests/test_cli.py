@@ -1,5 +1,9 @@
 """Command line behavior: parsing, validation, files, exit codes."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 
 from mwmlab import cli
@@ -205,8 +209,38 @@ class TestAuditOrder:
         assert "slots checked: 240" in out
         assert "slots skipped by search guard: 0" in out
 
+    def test_out_dir_under_a_regular_file_fails_before_the_audit(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from mwmlab import harness
+
+        def no_audit(config, baseline):
+            raise AssertionError("the audit ran before its directory was made")
+
+        monkeypatch.setattr(harness, "per_slot_preceq_audit", no_audit)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out_dir = tmp_path / "file" / "out"
+        code, out, err = run_cli(
+            ["audit-order", "--queues", "2", "--servers", "1", "--p", "0.5",
+             "--lambda", "0.2", "--horizon", "20", "--replications", "3",
+             "--baseline", "fixed_order", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out_dir}")
+
 
 class TestSimulateFiles:
+    def test_out_dir_under_a_regular_file_is_an_error(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out_dir = tmp_path / "file" / "out"
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, "--out-dir", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out_dir}")
+        assert "Traceback" not in err
+
     def test_outputs_written_with_trailing_newlines(self, capsys, tmp_path):
         code, out, err = run_cli(
             ["simulate", *SIM_FLAGS, "--policy", "mwm", "--policy", "fixed_order",
@@ -263,3 +297,52 @@ class TestSimulateFiles:
         )
         assert code == 2
         assert "MWMLAB_THREADS" in err
+
+
+# Runs commands after `import mwmlab.cli` and prints their exit codes and the
+# numpy and scipy modules they imported.
+_COMMAND_IMPORTS_PROBE = """
+import contextlib, io, json, sys
+import mwmlab.cli
+before = set(sys.modules)
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(mwmlab.cli.main(argv))
+new = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "scipy"))
+print(json.dumps([codes, new]))
+"""
+
+
+def _probe(code: str, *args: str) -> str:
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy_or_process_pool(self):
+        probe = (
+            "import sys, mwmlab.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+        )
+        assert _probe(probe) == "[]"
+
+    def test_commands_import_no_numpy_or_scipy_module(self, tmp_path):
+        matrix = tmp_path / "matrix.txt"
+        matrix.write_text("2 2\n1 2\n3 4\n", encoding="utf-8")
+        sim = ["--p", "0.5", "--lambda", "0.3", "--horizon", "20", "--replications", "2"]
+        runs = [
+            ["simulate", "--queues", "3", "--servers", "2", *sim,
+             "--out-dir", str(tmp_path / "table")],
+            ["simulate", "--queues", "8", "--servers", "8", *sim,
+             "--out-dir", str(tmp_path / "split")],
+            ["audit-order", "--queues", "3", "--servers", "2", *sim,
+             "--baseline", "fixed_order", "--out-dir", str(tmp_path / "audit")],
+            ["verify-lemmas", "--max-n", "2", "--max-k", "2", "--max-x", "2"],
+            ["solve-matching", str(matrix)],
+        ]
+        codes, new = json.loads(_probe(_COMMAND_IMPORTS_PROBE, json.dumps(runs)))
+        assert codes == [0] * len(runs)
+        assert new == []

@@ -1,10 +1,11 @@
 """Coupled simulation and dominance aggregation contracts."""
 
-import subprocess
-import sys
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from mwmlab.balance import COST_FUNCTIONS
 from mwmlab.harness import (
@@ -280,20 +281,66 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
 
-    def test_matches_beta_quantiles(self):
-        alpha = 1.0 - CONFIDENCE_LEVEL
-        for n in (1, 2, 10, 40, 200):
-            for k in range(n + 1):
-                lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2, k, n - k + 1))
-                hi = 1.0 if k == n else float(beta.ppf(1 - alpha / 2, k + 1, n - k))
-                assert clopper_pearson(k, n) == (lo, hi)
+    def test_rejects_bad_level(self):
+        for level in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                clopper_pearson(1, 4, level)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        probe = "import sys, mwmlab; print('scipy.stats' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
+    def test_exact_tail_brackets_bounds(self):
+        # exact rationals: the tail equation changes sign within a relative
+        # 1e-13 of each bound, so the bound is that close to the true root
+        q = (1 - Fraction(CONFIDENCE_LEVEL)) / 2
+        below, above = 1 - Fraction(1, 10**13), 1 + Fraction(1, 10**13)
+        for n in range(1, 41):
+            for k in range(n + 1):
+                lo, hi = clopper_pearson(k, n)
+                if k == 0:
+                    assert lo == 0.0
+                else:
+                    assert _tail_at_least(k, n, Fraction(lo) * below) < q
+                    assert _tail_at_least(k, n, Fraction(lo) * above) > q
+                if k == n:
+                    assert hi == 1.0
+                else:
+                    # P(Bin(n, p) <= k) = 1 - P(Bin(n, p) >= k + 1)
+                    assert 1 - _tail_at_least(k + 1, n, Fraction(hi) * below) > q
+                    assert 1 - _tail_at_least(k + 1, n, Fraction(hi) * above) < q
+
+    def test_matches_scipy(self):
+        q = (1.0 - CONFIDENCE_LEVEL) / 2
+        for n in (1, 2, 10, 40, 200, 1000):
+            ks = np.arange(1, n + 1)
+            lows = betaincinv(ks, n - ks + 1, q)
+            highs = betaincinv(n - ks + 1, ks, 1 - q)  # upper bound at n - k
+            for k, lo, hi in zip(ks.tolist(), lows.tolist(), highs.tolist()):
+                assert clopper_pearson(k, n)[0] == pytest.approx(lo, rel=1e-12)
+                assert clopper_pearson(n - k, n)[1] == pytest.approx(hi, rel=1e-12)
+
+    def test_closed_form_ends(self):
+        q = (1.0 - CONFIDENCE_LEVEL) / 2
+        for n in (1, 2, 7, 40, 1000):
+            assert clopper_pearson(n, n)[0] == pytest.approx(q ** (1 / n), rel=1e-15)
+            assert clopper_pearson(0, n)[1] == pytest.approx(
+                -math.expm1(math.log(q) / n), rel=1e-15
+            )
+
+    def test_monotone_and_symmetric(self):
+        for n in (1, 2, 5, 40, 200):
+            bounds = [clopper_pearson(k, n) for k in range(n + 1)]
+            lows, highs = zip(*bounds)
+            assert all(a < b for a, b in zip(lows, lows[1:]))
+            assert all(a < b for a, b in zip(highs, highs[1:]))
+            for k, (lo, hi) in enumerate(bounds):
+                lo_mirror, hi_mirror = bounds[n - k]
+                assert lo == pytest.approx(1 - hi_mirror, rel=1e-13, abs=2**-52)
+                assert hi == pytest.approx(1 - lo_mirror, rel=1e-13, abs=2**-52)
+
+
+def _tail_at_least(k: int, n: int, p: Fraction) -> Fraction:
+    """P(Bin(n, p) >= k) in exact arithmetic."""
+    u, v = p.numerator, p.denominator
+    total = sum(math.comb(n, j) * u**j * (v - u) ** (n - j) for j in range(k, n + 1))
+    return Fraction(total, v**n)
 
 
 class TestAudit:
