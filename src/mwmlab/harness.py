@@ -245,11 +245,12 @@ def run_experiment(
 def clopper_pearson(successes: int, trials: int, level: float = CONFIDENCE_LEVEL):
     """Two-sided exact binomial confidence interval for a proportion.
 
-    With q = (1 - level) / 2, the lower bound p solves P(Bin(trials, p) >= k) = q
-    and the upper bound solves P(Bin(trials, p) <= k) = q. The upper bound at k
-    is one minus the lower bound at trials - k. Both come from a root s = log p
-    of the lower-bound equation, as exp(s) and -expm1(s), so each keeps its
-    relative accuracy near 0 and near 1.
+    With k = successes and q = (1 - level) / 2, the lower bound p solves
+    P(Bin(trials, p) >= k) = q and the upper bound solves
+    P(Bin(trials, p) <= k) = q. The upper bound at k is one minus the lower
+    bound at trials - k. Both come from a root s = log p of the lower-bound
+    equation, as exp(s) and -expm1(s), so each keeps its relative accuracy
+    near 0 and near 1.
     """
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in 0..trials")
