@@ -163,6 +163,7 @@ def default_monotonicity_pairs() -> list[tuple[QueueState, QueueState]]:
 COST_FUNCTIONS: dict[str, Callable[[Sequence[int]], float]] = {
     "total_occupancy": total_occupancy,
     "max_queue": max_queue,
+    "sum_of_squares": sum_of_squares,
 }
 
 
@@ -188,9 +189,6 @@ def register_cost_function(
             f"{name} is not monotone: f({lo}) = {fn(lo)} > f({hi}) = {fn(hi)}"
         )
     COST_FUNCTIONS[name] = fn
-
-
-register_cost_function("sum_of_squares", sum_of_squares)
 
 
 # --- balancing server reallocations ---------------------------------------

@@ -150,20 +150,9 @@ def build_sim_config(
     policy_names = tuple(
         name.strip() for name in settings["policy"].split(",") if name.strip()
     )
-    for name in policy_names:
-        if name not in policies.POLICY_NAMES:
-            raise CliError(
-                f"policy must be one of {policies.POLICY_NAMES}, got {name!r}"
-            )
     cost_names = tuple(
         name.strip() for name in settings["cost"].split(",") if name.strip()
     )
-    for name in cost_names:
-        if name not in balance.COST_FUNCTIONS:
-            raise CliError(
-                f"cost must be one of {tuple(sorted(balance.COST_FUNCTIONS))}, "
-                f"got {name!r}"
-            )
     if settings["initial_state"] == "zeros":
         initial = None
     else:

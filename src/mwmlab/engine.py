@@ -59,14 +59,13 @@ class Block:
     replications. ``sampled`` is (P, R, S, N), the states at the S sampled
     slots. ``recorded`` is (P, R, n_rec, N) and ``mw_index`` (P, R, n_rec),
     the states and the chosen matching's weight x_n c_nk at every
-    ``record_interval``-th slot. ``states`` is (P, R, T + 1, N) when kept.
+    ``record_interval``-th slot.
     """
 
     occupancy: np.ndarray
     sampled: np.ndarray
     recorded: np.ndarray
     mw_index: np.ndarray
-    states: np.ndarray | None
 
 
 def simulate(
@@ -74,7 +73,6 @@ def simulate(
     names: Sequence[str],
     replications: range,
     sampled: Sequence[int],
-    keep_states: bool = False,
 ) -> Block:
     """Advance ``replications`` of a ``harness.SimConfig`` under each of ``names``."""
     params = config.params
@@ -99,10 +97,6 @@ def simulate(
     sampled_states = np.empty((*shape[:2], len(sampled), n), dtype=np.int64)
     recorded = np.empty((*shape[:2], horizon // interval, n), dtype=np.int64)
     mw_index = np.empty(recorded.shape[:3], dtype=np.int64)
-    states = None
-    if keep_states:
-        states = np.empty((*shape[:2], horizon + 1, n), dtype=np.int64)
-        states[:, :, 0] = x
     # hist[0] is the state before the chunk, hist[i] the state after its slot i
     hist = np.empty((chunk + 1, *shape), dtype=np.int64)
 
@@ -121,8 +115,7 @@ def simulate(
             x += arrivals[i]
             hist[i + 1] = x
 
-        after = hist[1 : size + 1]
-        occupancy[:, first : first + size] = after.sum(axis=(2, 3)).T
+        occupancy[:, first : first + size] = hist[1 : size + 1].sum(axis=(2, 3)).T
         for j, t in enumerate(sampled):
             if first <= t < first + size:
                 sampled_states[:, :, j] = hist[t - first + 1]
@@ -135,10 +128,8 @@ def simulate(
             recorded[:, :, lo : lo + slots.size] = hist[pos].transpose(1, 2, 0, 3)
             weights = (before * served).sum(axis=3)
             mw_index[:, :, lo : lo + slots.size] = weights.transpose(1, 2, 0)
-        if keep_states:
-            states[:, :, first : first + size] = after.transpose(1, 2, 0, 3)
 
-    return Block(occupancy, sampled_states, recorded, mw_index, states)
+    return Block(occupancy, sampled_states, recorded, mw_index)
 
 
 def _next_chunk(streams, size: int) -> np.ndarray:

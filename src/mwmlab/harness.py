@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -461,17 +461,18 @@ def per_slot_preceq_audit(config: SimConfig, baseline: str) -> PreceqAuditReport
     names = tuple(dict.fromkeys((policies.MWM, baseline)))
     n = config.params.n_queues
     horizon = config.horizon
-    # full states are kept, so blocks of replications bound the memory
+    # every slot's state is recorded, so blocks of replications bound the memory
     size = max(1, _AUDIT_BLOCK_CELLS // (len(names) * (horizon + 1) * n))
+    every_slot = replace(config, record_interval=1)
     holding = 0
     failures = []
     for first in range(0, config.replications, size):
         block = range(first, min(first + size, config.replications))
-        states = engine.simulate(config, names, block, (), keep_states=True).states
-        below = weakly_submajorized(states[0, :, 1:], states[-1, :, 1:])
+        states = engine.simulate(every_slot, names, block, ()).recorded
+        below = weakly_submajorized(states[0], states[-1])
         holding += int(below.sum())
         for r, t in zip(*np.nonzero(~below)):
-            xm, xb = states[[0, -1], r, t + 1].tolist()
+            xm, xb = states[[0, -1], r, t].tolist()
             failures.append((first + int(r), int(t) + 1, tuple(xm), tuple(xb)))
     return PreceqAuditReport(
         baseline=baseline,

@@ -166,13 +166,14 @@ def test_criterion_6_degenerate_exactness():
         replications=3,
         seed=42,
         policies=("mwm", "random_maximal", "greedy_lcq", "fixed_order"),
+        record_interval=1,
     )
-    block = engine.simulate(
-        full, full.policies, range(full.replications), (), keep_states=True
-    )
+    block = engine.simulate(full, full.policies, range(full.replications), ())
     collapse_ok = True
     for r in range(full.replications):
-        trajectories = [block.states[p, r].tolist() for p in range(len(full.policies))]
+        trajectories = [
+            block.recorded[p, r].tolist() for p in range(len(full.policies))
+        ]
         collapse_ok = collapse_ok and all(t == trajectories[0] for t in trajectories)
 
     idle = SimConfig(

@@ -3,10 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from test_acceptance import DESK_SCALE
 
 from mwmlab import cli
+from mwmlab.policies import POLICY_NAMES
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(argv, capsys):
@@ -46,6 +51,15 @@ class TestParsing:
         )
         assert code == 2
         assert "mystery" in err
+
+    def test_unknown_cost_named(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, "--cost", "mystery_cost",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "mystery_cost" in err
 
     def test_unknown_config_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -91,6 +105,30 @@ class TestParsing:
         )
         assert code == 2
         assert "initial_state" in err
+
+
+def load_config(path):
+    return cli.build_sim_config(cli._parse_config_file(str(path)), echo=lambda _: None)
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.name
+    )
+    def test_parses_to_a_valid_config(self, path):
+        _, out_dir = load_config(path)
+        assert out_dir.startswith("results/")  # git ignores results/
+
+    def test_desk_scale_matches_criterion_5(self):
+        config, _ = load_config(CONFIGS / "desk_scale.cfg")
+        for field in (
+            "params", "horizon", "replications", "seed", "policies", "cost_functions"
+        ):
+            assert getattr(config, field) == getattr(DESK_SCALE, field)
+
+    def test_order_audit_names_a_known_baseline(self):
+        settings = cli._parse_config_file(str(CONFIGS / "order_audit.cfg"))
+        assert settings["baseline"] in POLICY_NAMES
 
 
 class TestSolveMatching:

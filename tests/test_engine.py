@@ -75,14 +75,12 @@ def test_engine_matches_scalar_reference(n, k, horizon, monkeypatch):
     for limit in both_paths(n, k):
         monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
         block = engine.simulate(
-            cfg, cfg.policies, range(cfg.replications), sampled_slots(horizon),
-            keep_states=True,
+            cfg, cfg.policies, range(cfg.replications), sampled_slots(horizon)
         )
         for i, p in enumerate(cfg.policies):
             occupancy = np.zeros(horizon + 1, dtype=np.int64)
             for r in range(cfg.replications):
                 states, weights = reference[p, r]
-                assert block.states[i, r].tolist() == [list(x) for x in states]
                 assert block.recorded[i, r].tolist() == [list(x) for x in states[1:]]
                 assert block.mw_index[i, r].tolist() == weights
                 assert block.sampled[i, r].tolist() == [
@@ -95,10 +93,10 @@ def test_engine_matches_scalar_reference(n, k, horizon, monkeypatch):
 def test_wide_fallback_solver_matches_the_dp(monkeypatch):
     cfg = shape_config(3, 4, 60)
     names = ("mwm",)
-    dp = engine.simulate(cfg, names, range(2), (), keep_states=True).states
+    dp = engine.simulate(cfg, names, range(2), ()).recorded
     monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", 0)
     monkeypatch.setattr(matching, "_DP_MAX_COLS", 2)
-    solver = engine.simulate(cfg, names, range(2), (), keep_states=True).states
+    solver = engine.simulate(cfg, names, range(2), ()).recorded
     assert np.array_equal(dp, solver)
 
 
@@ -203,10 +201,10 @@ def test_chunk_size_does_not_change_the_outputs(cells, monkeypatch):
 
 def test_audit_chunk_and_block_sizes_do_not_change_states(monkeypatch):
     cfg = shape_config(3, 2, 97)
-    whole = engine.simulate(cfg, cfg.policies, range(3), (), keep_states=True).states
+    whole = engine.simulate(cfg, cfg.policies, range(3), ()).recorded
     monkeypatch.setattr(engine, "_CHUNK_CELLS", 1)
     parts = [
-        engine.simulate(cfg, cfg.policies, range(r, r + 1), (), keep_states=True).states
+        engine.simulate(cfg, cfg.policies, range(r, r + 1), ()).recorded
         for r in range(3)
     ]
     assert np.array_equal(whole, np.concatenate(parts, axis=1))

@@ -173,10 +173,11 @@ class TestCoupling:
 
     def test_full_connectivity_with_enough_servers_collapses_all_policies(self):
         cfg = make_config(
-            params=SystemParams(2, 3, 1.0, 0.5), horizon=60, replications=1
+            params=SystemParams(2, 3, 1.0, 0.5), horizon=60, replications=1,
+            record_interval=1,
         )
-        block = engine.simulate(cfg, cfg.policies, range(1), (), keep_states=True)
-        states = dict(zip(cfg.policies, block.states[:, 0].tolist()))
+        block = engine.simulate(cfg, cfg.policies, range(1), ())
+        states = dict(zip(cfg.policies, block.recorded[:, 0].tolist()))
         reference = states["mwm"]
         for policy in cfg.policies:
             assert states[policy] == reference
@@ -376,17 +377,18 @@ class TestAudit:
 
     def test_five_queues_long_horizon_matches_oracle(self):
         cfg = make_config(
-            params=SystemParams(5, 2, 0.5, 0.2), horizon=80, replications=3
+            params=SystemParams(5, 2, 0.5, 0.2), horizon=80, replications=3,
+            record_interval=1,
         )
         report = per_slot_preceq_audit(cfg, "fixed_order")
         assert report.slots_checked == 3 * 80
         holding = 0
         block = engine.simulate(
-            cfg, ("mwm", "fixed_order"), range(cfg.replications), (), keep_states=True
+            cfg, ("mwm", "fixed_order"), range(cfg.replications), ()
         )
-        for xm, xb in zip(*block.states.tolist()):
+        for xm, xb in zip(*block.recorded.tolist()):
             holding += sum(
-                tuple(xm[t]) in bfs_lower_set(xb[t]) for t in range(1, cfg.horizon + 1)
+                tuple(xm[t]) in bfs_lower_set(xb[t]) for t in range(cfg.horizon)
             )
         assert report.slots_holding == holding
         assert len(report.failures) == report.slots_checked - holding
