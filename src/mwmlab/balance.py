@@ -31,6 +31,7 @@ from .matching import (
     Matching,
     Pair,
     enumerate_matchings,
+    matching_table,
     matching_weight,
     max_weight_matching,
     validate_matching,
@@ -229,26 +230,13 @@ def balancing_condition(
     return None
 
 
-def _matching_table(
-    matchings: Sequence[Matching], n_queues: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per matching and queue: whether the queue is matched, and to which server."""
-    matched = np.zeros((len(matchings), n_queues), dtype=bool)
-    server = np.zeros((len(matchings), n_queues), dtype=np.intp)
-    for i, m in enumerate(matchings):
-        for n, k in m:
-            matched[i, n] = True
-            server[i, n] = k
-    return matched, server
-
-
 def _reallocation_kernel(
     x: np.ndarray, c: np.ndarray, table: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights and balancing reallocations of every matching of B instances.
 
     ``x`` is (B, N) queue lengths, ``c`` is (B, N, K) connectivities and
-    ``table`` comes from ``_matching_table``. Returns the (B, M) matching
+    ``table`` comes from ``matching_table``. Returns the (B, M) matching
     weights and two (B, M, M) masks whose entry [b, i, j] says that matching
     ``j`` is a C1 or a C2 reallocation of matching ``i`` in instance ``b``.
 
@@ -313,7 +301,7 @@ def _reallocation_graph(
     weights, c1, c2 = _reallocation_kernel(
         np.array([x_prev], dtype=np.int64),
         np.array([c], dtype=np.int64),
-        _matching_table(matchings, len(x_prev)),
+        matching_table(matchings, len(x_prev)),
     )
     adjacency = c1 | c2
     edges = [
@@ -465,7 +453,7 @@ def _sweep_shape(
     shape's instance count.
     """
     matchings = list(enumerate_matchings(n_queues, n_servers))
-    table = _matching_table(matchings, n_queues)
+    table = matching_table(matchings, n_queues)
     per_x = 1 << (n_queues * n_servers)
     total = (max_x + 1) ** n_queues * per_x
     block = max(1, _BLOCK_CELLS // len(matchings) ** 2)

@@ -5,10 +5,13 @@ dominance CSVs), ``verify-lemmas`` (exhaustive reallocation sweep),
 ``audit-order`` (per-slot partial-order audit), and ``solve-matching``
 (one-shot exact solve of a weight matrix from a file).
 
-Settings come from flags or from a flat ``key = value`` config file with
-``#`` comments; flags override file values, and every applied default is
-echoed. The ``MWMLAB_THREADS`` environment variable caps worker processes
-for ``simulate`` (0 means one per CPU).
+``simulate`` and ``audit-order`` each declare their settings in one table
+(``SETTINGS``). A setting comes from its flag or from a flat ``key = value``
+config file with ``#`` comments; flags override file values, every value
+is parsed from its string on the same path, and every applied default is
+echoed. A key the command does not read is an error. The
+``MWMLAB_THREADS`` environment variable caps worker processes for
+``simulate`` (0 means one per CPU).
 """
 
 from __future__ import annotations
@@ -25,28 +28,72 @@ from . import balance, harness, policies
 from .matching import max_weight_matching
 from .queueing import SystemParams
 
-DEFAULT_SEED = 42
-DEFAULT_POLICIES = ",".join(policies.POLICY_NAMES)
-DEFAULT_COSTS = "total_occupancy"
-
-_REQUIRED_SIM_KEYS = ("queues", "servers", "p", "lambda", "horizon", "replications")
-
-_SIM_KEYS = _REQUIRED_SIM_KEYS + (
-    "seed",
-    "policy",
-    "cost",
-    "record_interval",
-    "initial_state",
-    "out_dir",
-    "baseline",
-)
-
 
 class CliError(Exception):
     """User-facing configuration error; message names the offending key."""
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliError(f"{key} must be an integer, got {raw!r}") from None
+
+
+def _prob(key: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise CliError(f"{key} must be a number, got {raw!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise CliError(f"{key} must be within [0, 1], got {value}")
+    return value
+
+
+def _names(key: str, raw: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+def _queue_lengths(key: str, raw: str) -> tuple[int, ...] | None:
+    if raw == "zeros":
+        return None
+    try:
+        return tuple(int(v) for v in raw.split(",") if v.strip())
+    except ValueError:
+        raise CliError(f"{key} must be comma-separated integers, got {raw!r}") from None
+
+
+def _text(key: str, raw: str) -> str:
+    return raw
+
+
+# key: (parser, default, help). A default of None marks a required setting;
+# a callable default is computed from the values parsed before it. The flag
+# is --key with "-" for "_"; settings parsed by _names are repeatable flags.
+_SHARED = {
+    "queues": (_int, None, "queue count"),
+    "servers": (_int, None, "server count"),
+    "p": (_prob, None, "connectivity probability in [0, 1]"),
+    "lambda": (_prob, None, "arrival probability in [0, 1]"),
+    "horizon": (_int, None, "slots per replication"),
+    "replications": (_int, None, "replication count"),
+    "seed": (_int, "42", "stream seed"),
+    "initial_state": (_queue_lengths, "zeros", "comma-separated initial queue lengths"),
+    "out_dir": (_text, ".", "output directory"),
+}
+SETTINGS = {
+    "simulate": {
+        **_SHARED,
+        "policy": (_names, ",".join(policies.POLICY_NAMES), "policy; repeatable"),
+        "cost": (_names, "total_occupancy", "cost function; repeatable"),
+        "record_interval": (_int, lambda v: str(max(1, v["horizon"] // 100)),
+                            "slots between trace records (default: horizon // 100)"),
+    },
+    "audit-order": {**_SHARED, "baseline": (_text, None, "policy to audit against")},
+}
+
+
+def _parse_config_file(path: str, table: dict) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -60,128 +107,58 @@ def _parse_config_file(path: str) -> dict[str, str]:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _SIM_KEYS:
+        if key not in table:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _parse_int(key: str, raw: str, minimum: int | None = None) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"{key} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise CliError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _parse_prob(key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CliError(f"{key} must be a number, got {raw!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise CliError(f"{key} must be within [0, 1], got {value}")
-    return value
-
-
-def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
-    """file values, overridden by flags; returns raw strings plus a default log."""
-    merged: dict[str, str] = {}
-    if getattr(args, "config", None):
-        merged.update(_parse_config_file(args.config))
-    flag_map = {
-        "queues": args.queues,
-        "servers": args.servers,
-        "p": args.p,
-        "lambda": args.lam,
-        "horizon": args.horizon,
-        "replications": args.replications,
-        "seed": args.seed,
-        "policy": ",".join(args.policy) if args.policy else None,
-        "cost": ",".join(args.cost) if args.cost else None,
-        "record_interval": args.record_interval,
-        "initial_state": args.initial_state,
-        "out_dir": args.out_dir,
-        "baseline": getattr(args, "baseline", None),
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            merged[key] = str(value)
-    return merged
-
-
 def build_sim_config(
-    settings: dict[str, str], echo=print
-) -> tuple[harness.SimConfig, str]:
-    """Resolve merged raw settings into a validated SimConfig.
+    args: argparse.Namespace, echo=print
+) -> tuple[harness.SimConfig, dict[str, object]]:
+    """The validated SimConfig of a ``simulate`` or ``audit-order`` command.
 
-    Echoes each applied default and returns the output directory alongside
-    the config.
+    File values are overridden by flags, each applied default is echoed, and
+    every value is parsed once. Returns the parsed settings alongside the
+    config; the audit simulates ``mwm`` and its baseline.
     """
-    missing = [key for key in _REQUIRED_SIM_KEYS if key not in settings]
+    table = SETTINGS[args.command]
+    raw = _parse_config_file(args.config, table) if args.config else {}
+    for key in table:
+        flag = getattr(args, key)
+        if flag is not None:
+            raw[key] = ",".join(flag) if isinstance(flag, list) else flag
+    missing = [key for key in table if key not in raw and table[key][1] is None]
     if missing:
         raise CliError(
             "missing required settings: " + ", ".join(missing)
             + " (set them via flags or a config file)"
         )
-
-    defaults = {
-        "seed": str(DEFAULT_SEED),
-        "policy": DEFAULT_POLICIES,
-        "cost": DEFAULT_COSTS,
-        "initial_state": "zeros",
-        "out_dir": ".",
-    }
-    horizon = _parse_int("horizon", settings["horizon"], minimum=1)
-    defaults["record_interval"] = str(max(1, horizon // 100))
-    for key, value in defaults.items():
-        if key not in settings:
-            settings[key] = value
-            echo(f"default applied: {key} = {value}")
-
-    params = SystemParams(
-        n_queues=_parse_int("queues", settings["queues"], minimum=1),
-        n_servers=_parse_int("servers", settings["servers"], minimum=1),
-        connect_prob=_parse_prob("p", settings["p"]),
-        arrival_prob=_parse_prob("lambda", settings["lambda"]),
+    values: dict[str, object] = {}
+    for key, (parse, default, _) in table.items():
+        if key not in raw:
+            raw[key] = default(values) if callable(default) else default
+            echo(f"default applied: {key} = {raw[key]}")
+        values[key] = parse(key, raw[key])
+    config = harness.SimConfig(
+        params=SystemParams(
+            values["queues"], values["servers"], values["p"], values["lambda"]
+        ),
+        horizon=values["horizon"],
+        replications=values["replications"],
+        seed=values["seed"],
+        policies=(
+            tuple(dict.fromkeys((policies.MWM, values["baseline"])))
+            if "baseline" in values
+            else values["policy"]
+        ),
+        cost_functions=values.get("cost", ("total_occupancy",)),
+        record_interval=values.get("record_interval", 1),
+        initial_state=values["initial_state"],
     )
-    policy_names = tuple(
-        name.strip() for name in settings["policy"].split(",") if name.strip()
-    )
-    cost_names = tuple(
-        name.strip() for name in settings["cost"].split(",") if name.strip()
-    )
-    if settings["initial_state"] == "zeros":
-        initial = None
-    else:
-        try:
-            initial = tuple(
-                int(v) for v in settings["initial_state"].split(",") if v.strip()
-            )
-        except ValueError:
-            raise CliError(
-                f"initial_state must be comma-separated integers, "
-                f"got {settings['initial_state']!r}"
-            ) from None
-
-    try:
-        config = harness.SimConfig(
-            params=params,
-            horizon=horizon,
-            replications=_parse_int("replications", settings["replications"], minimum=1),
-            seed=_parse_int("seed", settings["seed"]),
-            policies=policy_names,
-            cost_functions=cost_names,
-            record_interval=_parse_int(
-                "record_interval", settings["record_interval"], minimum=1
-            ),
-            initial_state=initial,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return config, settings["out_dir"]
+    return config, values
 
 
 def worker_count() -> int:
@@ -217,9 +194,9 @@ def _write_lines(path, lines: Iterable[str]) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    config, out_dir = build_sim_config(_merge_settings(args))
+    config, values = build_sim_config(args)
     workers = worker_count()
-    out = _make_out_dir(out_dir)
+    out = _make_out_dir(values["out_dir"])
     print(f"simulate: {config.params.n_queues} queues, {config.params.n_servers} "
           f"servers, p={config.params.connect_prob}, lambda={config.params.arrival_prob}, "
           f"horizon={config.horizon}, replications={config.replications}, "
@@ -247,17 +224,9 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_audit_order(args) -> int:
-    settings = _merge_settings(args)
-    config, out_dir = build_sim_config(settings)
-    if "baseline" not in settings:
-        raise CliError("missing required settings: baseline")
-    baseline = settings["baseline"]
-    if baseline not in policies.POLICY_NAMES:
-        raise CliError(
-            f"baseline must be one of {policies.POLICY_NAMES}, got {baseline!r}"
-        )
-    out = _make_out_dir(out_dir)
-    report = harness.per_slot_preceq_audit(config, baseline)
+    config, values = build_sim_config(args)
+    out = _make_out_dir(values["out_dir"])
+    report = harness.per_slot_preceq_audit(config, values["baseline"])
     text = harness.format_audit_report(report)
     _write_lines(out / "audit_order.txt", text.splitlines())
     print(text)
@@ -309,25 +278,18 @@ def _cmd_solve_matching(args) -> int:
     return 0
 
 
-def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
+def _add_setting_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--queues", type=int, help="queue count (>= 1)")
-    sub.add_argument("--servers", type=int, help="server count (>= 1)")
-    sub.add_argument("--p", type=float, help="connectivity probability in [0, 1]")
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="arrival probability in [0, 1]")
-    sub.add_argument("--horizon", type=int, help="slots per replication (>= 1)")
-    sub.add_argument("--replications", type=int, help="replication count (>= 1)")
-    sub.add_argument("--seed", type=int, help=f"stream seed (default {DEFAULT_SEED})")
-    sub.add_argument("--policy", action="append",
-                     help="policy to run; repeatable (default: all)")
-    sub.add_argument("--cost", action="append",
-                     help="cost function; repeatable (default: total_occupancy)")
-    sub.add_argument("--record-interval", dest="record_interval", type=int,
-                     help="slots between trace records (default: horizon/100)")
-    sub.add_argument("--initial-state", dest="initial_state",
-                     help="comma-separated initial queue lengths (default: zeros)")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory (default: .)")
+    for key, (parse, default, text) in SETTINGS[command].items():
+        if default is None:
+            text += " (required)"
+        elif isinstance(default, str):
+            text += f" (default: {default})"
+        sub.add_argument(
+            "--" + key.replace("_", "-"),
+            action="append" if parse is _names else "store",
+            help=text,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="coupled policy comparison")
-    _add_sim_flags(p_sim)
+    _add_setting_flags(p_sim, "simulate")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify-lemmas", help="exhaustive reallocation sweep")
@@ -352,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify_lemmas)
 
     p_aud = sub.add_parser("audit-order", help="per-slot partial-order audit")
-    _add_sim_flags(p_aud)
-    p_aud.add_argument("--baseline", help="baseline policy to audit against")
+    _add_setting_flags(p_aud, "audit-order")
     p_aud.set_defaults(func=_cmd_audit_order)
 
     p_sol = sub.add_parser("solve-matching", help="solve one weight matrix")
@@ -368,10 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,7 @@ from math import comb, perm
 import numpy as np
 
 from . import matching, rng
-from .matching import enumerate_matchings, max_weight_matching
+from .matching import enumerate_matchings, matching_table, max_weight_matching
 from .policies import FIXED_ORDER, GREEDY_LCQ, MWM, RANDOM_MAXIMAL
 
 # Systems with at most this many matchings use the table kernel. The table
@@ -177,13 +177,10 @@ class _TableKernel:
     """
 
     def __init__(self, n: int, k: int, names: Sequence[str], n_rep: int):
-        table = sorted(enumerate_matchings(n, k))
-        self.incidence = np.zeros((n * k, len(table)), dtype=np.int64)
-        self.served = np.zeros((len(table), n), dtype=np.int64)
-        for j, m in enumerate(table):
-            for q, s in m:
-                self.incidence[q * k + s, j] = 1
-                self.served[j, q] = 1
+        matched, server = matching_table(sorted(enumerate_matchings(n, k)), n)
+        self.served = matched.astype(np.int64)
+        edges = matched[:, :, None] & (server[:, :, None] == np.arange(k))
+        self.incidence = np.ascontiguousarray(edges.reshape(len(edges), -1).T, np.int64)
         self.rows = len(names) * n_rep
         # queue factor (K + 1)^(N - 1 - rank) times server factor K - k
         self.priority = np.outer(

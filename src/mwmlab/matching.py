@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+import numpy as np
+
 Pair = tuple[int, int]
 Matching = tuple[Pair, ...]
 
@@ -90,6 +92,19 @@ def enumerate_matchings(n_queues: int, n_servers: int) -> Iterator[Matching]:
                 acc.pop()
 
     yield from rec(0, (1 << n_servers) - 1)
+
+
+def matching_table(
+    matchings: Sequence[Matching], n_queues: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per matching and queue: whether the queue is matched, and to which server."""
+    matched = np.zeros((len(matchings), n_queues), dtype=bool)
+    server = np.zeros((len(matchings), n_queues), dtype=np.intp)
+    for i, m in enumerate(matchings):
+        for n, k in m:
+            matched[i, n] = True
+            server[i, n] = k
+    return matched, server
 
 
 def weight_matrix(
@@ -178,7 +193,6 @@ def _dp_tail_values(rows, n_queues: int, n_servers: int):
 
 def _scipy_tail_values(rows, n_queues: int, n_servers: int):
     """Tail values via scipy's assignment solver, memoized per (row, mask)."""
-    import numpy as np
     from scipy.optimize import linear_sum_assignment
 
     top = max(max(row) for row in rows)

@@ -7,7 +7,6 @@ connected queue, then add the slot's Bernoulli arrivals.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -107,11 +106,3 @@ class SamplePath:
         self.connectivity = (u_c < params.connect_prob).astype(np.uint8).reshape(horizon, n, k)
         u_a = rng.path_uniforms(seed, replication, rng.STREAM_ARRIVALS, horizon, n)
         self.arrivals = (u_a < params.arrival_prob).astype(np.uint8)
-
-    def digest(self) -> str:
-        """Hash of the realized inputs; equal digests mean identical sample paths."""
-        h = hashlib.sha256()
-        h.update(self.connectivity.tobytes())
-        h.update(b"|")
-        h.update(self.arrivals.tobytes())
-        return h.hexdigest()

@@ -57,10 +57,6 @@ def slot_stream(
     return Generator(bitgen)
 
 
-def _slot_width(values_per_slot: int) -> int:
-    return blocks_per_slot(values_per_slot) * _WORDS_PER_BLOCK
-
-
 def path_uniforms(
     seed: int, replication: int, kind: int, horizon: int, values_per_slot: int
 ) -> np.ndarray:
@@ -72,19 +68,18 @@ def path_uniforms(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one slot")
-    gen = slot_stream(seed, replication, kind, 1, values_per_slot)
-    return gen.random((horizon, _slot_width(values_per_slot)))[:, :values_per_slot]
+    return next(slot_chunks(seed, replication, kind, values_per_slot, horizon))
 
 
 def slot_chunks(
     seed: int, replication: int, kind: int, values_per_slot: int, chunk: int
 ) -> Iterator[np.ndarray]:
-    """The rows of ``path_uniforms`` from slot 1 on, ``chunk`` slots at a time.
+    """A stream's per-slot uniforms from slot 1 on, ``chunk`` slots at a time.
 
     Each slot's draws fill whole counter blocks, so reading the stream on in
     pieces continues at the next slot's counter offset.
     """
     gen = slot_stream(seed, replication, kind, 1, values_per_slot)
-    width = _slot_width(values_per_slot)
+    width = blocks_per_slot(values_per_slot) * _WORDS_PER_BLOCK
     while True:
         yield gen.random((chunk, width))[:, :values_per_slot]

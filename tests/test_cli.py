@@ -97,6 +97,31 @@ class TestParsing:
         assert "default applied: policy" in out
         assert "default applied: cost = total_occupancy" in out
 
+    def test_badly_typed_flag_gets_the_config_message(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS[:8], "--horizon", "abc", *SIM_FLAGS[10:]], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "horizon" in err and "'abc'" in err
+
+    def test_duplicate_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("queues = 2\nqueues = 3\n", encoding="utf-8")
+        code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"{cfg}:2: duplicate key 'queues'" in err
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("audit-order", "policy = mwm"), ("simulate", "baseline = mwm")],
+    )
+    def test_key_of_the_other_command_named(self, capsys, tmp_path, command, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"queues = 2\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"unknown key '{line.split()[0]}'" in err
+
     def test_bad_initial_state(self, capsys, tmp_path):
         code, out, err = run_cli(
             ["simulate", *SIM_FLAGS, "--initial-state", "1,oops",
@@ -107,8 +132,12 @@ class TestParsing:
         assert "initial_state" in err
 
 
+COMMAND_OF = {"desk_scale.cfg": "simulate", "order_audit.cfg": "audit-order"}
+
+
 def load_config(path):
-    return cli.build_sim_config(cli._parse_config_file(str(path)), echo=lambda _: None)
+    args = cli.build_parser().parse_args([COMMAND_OF[path.name], "--config", str(path)])
+    return cli.build_sim_config(args, echo=lambda _: None)
 
 
 class TestShippedConfigs:
@@ -116,8 +145,8 @@ class TestShippedConfigs:
         "path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.name
     )
     def test_parses_to_a_valid_config(self, path):
-        _, out_dir = load_config(path)
-        assert out_dir.startswith("results/")  # git ignores results/
+        _, settings = load_config(path)
+        assert settings["out_dir"].startswith("results/")  # git ignores results/
 
     def test_desk_scale_matches_criterion_5(self):
         config, _ = load_config(CONFIGS / "desk_scale.cfg")
@@ -127,7 +156,7 @@ class TestShippedConfigs:
             assert getattr(config, field) == getattr(DESK_SCALE, field)
 
     def test_order_audit_names_a_known_baseline(self):
-        settings = cli._parse_config_file(str(CONFIGS / "order_audit.cfg"))
+        _, settings = load_config(CONFIGS / "order_audit.cfg")
         assert settings["baseline"] in POLICY_NAMES
 
 
@@ -214,6 +243,12 @@ class TestVerifyLemmas:
         assert "total violations: 1" in out
 
 
+AUDIT_FLAGS = [
+    "--queues", "2", "--servers", "1", "--p", "0.5", "--lambda", "0.2",
+    "--horizon", "20", "--replications", "3",
+]
+
+
 class TestAuditOrder:
     def test_runs_and_writes_report(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -225,6 +260,40 @@ class TestAuditOrder:
         assert code == 0
         assert "fraction holding" in out
         assert (tmp_path / "audit_order.txt").read_text(encoding="utf-8").endswith("\n")
+
+    def test_echoes_no_default_it_does_not_read(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["audit-order", *AUDIT_FLAGS,
+             "--baseline", "fixed_order", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert "default applied: seed = 42" in out
+        for key in ("policy", "cost", "record_interval"):
+            assert f"default applied: {key}" not in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--policy", "mwm"), ("--cost", "total_occupancy"),
+         ("--record-interval", "1")],
+    )
+    def test_simulate_only_flag_rejected(self, capsys, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["audit-order", *AUDIT_FLAGS, "--baseline", "fixed_order",
+                      flag, value, "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_unknown_baseline_fails_before_the_out_dir(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["audit-order", *AUDIT_FLAGS,
+             "--baseline", "mystery", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert "mystery" in err
+        assert not out_dir.exists()
 
     def test_missing_baseline(self, capsys, tmp_path):
         code, out, err = run_cli(

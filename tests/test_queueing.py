@@ -142,12 +142,15 @@ class TestStreamLayout:
         params = SystemParams(2, 2, 0.5, 0.5)
         a = SamplePath(params, seed=5, replication=1, horizon=50)
         b = SamplePath(params, seed=5, replication=1, horizon=50)
-        assert a.digest() == b.digest()
         assert np.array_equal(a.connectivity, b.connectivity)
+        assert np.array_equal(a.arrivals, b.arrivals)
         c = SamplePath(params, seed=6, replication=1, horizon=50)
         d = SamplePath(params, seed=5, replication=2, horizon=50)
-        assert c.digest() != a.digest()
-        assert d.digest() != a.digest()
+        for other in (c, d):
+            assert not (
+                np.array_equal(other.connectivity, a.connectivity)
+                and np.array_equal(other.arrivals, a.arrivals)
+            )
 
     def test_connectivity_and_arrival_streams_are_distinct(self):
         params = SystemParams(2, 2, 0.5, 0.5)
