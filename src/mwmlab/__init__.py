@@ -7,21 +7,14 @@ coupled Monte Carlo harness for comparing server assignment policies.
 
 from .balance import (
     COST_FUNCTIONS,
-    BalancingChainError,
     OrderStep,
-    ReallocationWitness,
     balancing_condition,
-    distance_to_mwm,
-    find_balancing_reallocation,
-    iter_balancing_reallocations,
     preceq_one,
     preceq_p,
     reachable_below,
     register_cost_function,
     sweep_lemmas,
     total_occupancy,
-    verify_lemma1,
-    verify_lemma2_corollary1,
 )
 from .harness import (
     DominanceReport,
@@ -54,13 +47,11 @@ from .queueing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalancingChainError",
     "COST_FUNCTIONS",
     "DominanceReport",
     "OrderStep",
     "POLICY_NAMES",
     "PreceqAuditReport",
-    "ReallocationWitness",
     "SamplePath",
     "SimConfig",
     "SystemParams",
@@ -69,10 +60,7 @@ __all__ = [
     "decide_fixed_order",
     "decide_greedy_lcq",
     "decide_mwm",
-    "distance_to_mwm",
     "enumerate_matchings",
-    "find_balancing_reallocation",
-    "iter_balancing_reallocations",
     "matching_weight",
     "max_weight_matching",
     "per_slot_preceq_audit",
@@ -86,7 +74,5 @@ __all__ = [
     "sweep_lemmas",
     "total_occupancy",
     "validate_matching",
-    "verify_lemma1",
-    "verify_lemma2_corollary1",
     "weight_matrix",
 ]

@@ -11,16 +11,16 @@ here are monotone with respect to it.
 
 A balancing server reallocation replaces the slot's matching with one whose
 post-service vector either componentwise decreases with a strict decrease
-somewhere (C1) or is one balancing interchange away (C2). The verifiers
-below check, exhaustively on small systems, that every reallocation
-strictly increases the matching weight and that a reallocation exists
-exactly when the matching weight is below the optimum.
+somewhere (C1) or is one balancing interchange away (C2). The sweep below
+checks on every small system that each reallocation strictly increases the
+matching weight, that one exists exactly when the weight is below the
+optimum, and that chained reallocations reach the optimum.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -28,15 +28,11 @@ import numpy as np
 
 from .matching import (
     ENUMERATION_LIMIT,
-    Matching,
-    Pair,
     enumerate_matchings,
     matching_table,
-    matching_weight,
     max_weight_matching,
-    validate_matching,
 )
-from .queueing import QueueState, serve, validate_state
+from .queueing import QueueState, validate_state
 
 REDUCTION = "reduction"
 TRANSPOSITION = "transposition"
@@ -49,14 +45,6 @@ class OrderStep:
 
     kind: str
     indices: tuple[int, int] | None = None
-
-
-class BalancingChainError(RuntimeError):
-    """No chain of balancing reallocations reaches a maximum weight matching.
-
-    Raising this is a counterexample report: on every instance checked so
-    far, repeated reallocations always reach the optimum.
-    """
 
 
 def _check_same_length(x_tilde: Sequence[int], x: Sequence[int]) -> None:
@@ -202,15 +190,6 @@ CONDITION_C2 = "C2"
 _BLOCK_CELLS = 1 << 13
 
 
-@dataclass(frozen=True)
-class ReallocationWitness:
-    """A replacement matching together with the condition its outcome satisfies."""
-
-    original: Matching
-    replacement: Matching
-    condition: str
-
-
 def balancing_condition(
     x_served: Sequence[int], x_served_new: Sequence[int]
 ) -> str | None:
@@ -279,109 +258,6 @@ def _distances_to_optimum(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
         step += 1
         frontier = (edges & frontier[:, None, :]).any(axis=2) & (dist < 0)
         dist[frontier] = step
-    return dist
-
-
-def _reallocation_graph(
-    x_prev: Sequence[int],
-    c: Sequence[Sequence[int]],
-    matchings: Sequence[Matching] | None = None,
-) -> tuple[Sequence[Matching], list[int], list[list[tuple[int, str]]], list[int | None]]:
-    """Every matching of one instance, its weight, reallocations and distance.
-
-    ``edges[i]`` lists ``(j, condition)`` for each matching ``j`` that is a
-    balancing reallocation of matching ``i``, in enumeration order;
-    ``dist[i]`` is the fewest reallocations from ``i`` to an optimum, None
-    when none is reachable.
-    """
-    if len(c) != len(x_prev):
-        raise ValueError(f"connectivity has {len(c)} rows for {len(x_prev)} queues")
-    if matchings is None:
-        matchings = list(enumerate_matchings(len(x_prev), len(c[0])))
-    weights, c1, c2 = _reallocation_kernel(
-        np.array([x_prev], dtype=np.int64),
-        np.array([c], dtype=np.int64),
-        matching_table(matchings, len(x_prev)),
-    )
-    adjacency = c1 | c2
-    edges = [
-        [(j, CONDITION_C1 if c1[0, i, j] else CONDITION_C2)
-         for j in np.flatnonzero(row).tolist()]
-        for i, row in enumerate(adjacency[0])
-    ]
-    dist = _distances_to_optimum(weights, adjacency)[0].tolist()
-    return matchings, weights[0].tolist(), edges, [d if d >= 0 else None for d in dist]
-
-
-def _locate(x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]):
-    """The instance's reallocation graph and the index of ``m`` in it."""
-    original = validate_matching(m, len(x_prev), len(c[0]))
-    graph = _reallocation_graph(x_prev, c)
-    return (*graph, graph[0].index(original))
-
-
-def iter_balancing_reallocations(
-    x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
-) -> Iterator[ReallocationWitness]:
-    """All balancing server reallocations of ``m``, in enumeration order."""
-    matchings, _, edges, _, i = _locate(x_prev, c, m)
-    for j, cond in edges[i]:
-        yield ReallocationWitness(matchings[i], matchings[j], cond)
-
-
-def find_balancing_reallocation(
-    x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
-) -> ReallocationWitness | None:
-    """First balancing server reallocation of ``m``, or None when none exists."""
-    return next(iter_balancing_reallocations(x_prev, c, m), None)
-
-
-def verify_lemma1(
-    x_prev: Sequence[int],
-    c: Sequence[Sequence[int]],
-    m: Sequence[Pair],
-    witness: ReallocationWitness,
-) -> bool:
-    """Whether the witness reallocation strictly increases the matching weight."""
-    n_queues = len(x_prev)
-    n_servers = len(c[0])
-    original = validate_matching(m, n_queues, n_servers)
-    if validate_matching(witness.original, n_queues, n_servers) != original:
-        raise ValueError("witness does not refer to the given matching")
-    replacement = validate_matching(witness.replacement, n_queues, n_servers)
-    cond = balancing_condition(
-        serve(x_prev, c, original), serve(x_prev, c, replacement)
-    )
-    if cond != witness.condition:
-        raise ValueError(
-            f"invalid witness: claims {witness.condition}, actual {cond}"
-        )
-    return matching_weight(x_prev, c, replacement) > matching_weight(x_prev, c, original)
-
-
-def verify_lemma2_corollary1(
-    x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
-) -> bool:
-    """Biconditional: weight below optimum iff some reallocation exists."""
-    _, weights, edges, _, i = _locate(x_prev, c, m)
-    return (weights[i] < max(weights)) == bool(edges[i])
-
-
-def distance_to_mwm(
-    x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Sequence[Pair]
-) -> int:
-    """Fewest balancing reallocations from ``m`` to any maximum weight matching.
-
-    Raises BalancingChainError if no maximum weight matching is reachable,
-    which would be a counterexample.
-    """
-    matchings, _, _, dists, i = _locate(x_prev, c, m)
-    dist = dists[i]
-    if dist is None:
-        raise BalancingChainError(
-            f"no maximum weight matching reachable from {matchings[i]} "
-            f"(x_prev={tuple(x_prev)}, c={tuple(tuple(r) for r in c)})"
-        )
     return dist
 
 

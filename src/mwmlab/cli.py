@@ -40,6 +40,16 @@ def _int(key: str, raw: str) -> int:
         raise CliError(f"{key} must be an integer, got {raw!r}") from None
 
 
+def _count(key: str, raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # not an integer: the same message as a count below 1
+    if value < 1:
+        raise CliError(f"{key} must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def _prob(key: str, raw: str) -> float:
     try:
         value = float(raw)
@@ -71,12 +81,12 @@ def _text(key: str, raw: str) -> str:
 # a callable default is computed from the values parsed before it. The flag
 # is --key with "-" for "_"; settings parsed by _names are repeatable flags.
 _SHARED = {
-    "queues": (_int, None, "queue count"),
-    "servers": (_int, None, "server count"),
+    "queues": (_count, None, "queue count"),
+    "servers": (_count, None, "server count"),
     "p": (_prob, None, "connectivity probability in [0, 1]"),
     "lambda": (_prob, None, "arrival probability in [0, 1]"),
-    "horizon": (_int, None, "slots per replication"),
-    "replications": (_int, None, "replication count"),
+    "horizon": (_count, None, "slots per replication"),
+    "replications": (_count, None, "replication count"),
     "seed": (_int, "42", "stream seed"),
     "initial_state": (_queue_lengths, "zeros", "comma-separated initial queue lengths"),
     "out_dir": (_text, ".", "output directory"),
@@ -86,11 +96,25 @@ SETTINGS = {
         **_SHARED,
         "policy": (_names, ",".join(policies.POLICY_NAMES), "policy; repeatable"),
         "cost": (_names, "total_occupancy", "cost function; repeatable"),
-        "record_interval": (_int, lambda v: str(max(1, v["horizon"] // 100)),
+        "record_interval": (_count, lambda v: str(max(1, v["horizon"] // 100)),
                             "slots between trace records (default: horizon // 100)"),
     },
     "audit-order": {**_SHARED, "baseline": (_text, None, "policy to audit against")},
 }
+
+
+def _emit(text: str) -> None:
+    """Print and flush; once the reader has closed the pipe, drop all output.
+
+    Stdout then points at ``os.devnull`` (the SIGPIPE note in the Python
+    docs), so later prints and the flush at exit cannot fail again.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_config_file(path: str, table: dict) -> dict[str, str]:
@@ -116,7 +140,7 @@ def _parse_config_file(path: str, table: dict) -> dict[str, str]:
 
 
 def build_sim_config(
-    args: argparse.Namespace, echo=print
+    args: argparse.Namespace, echo=_emit
 ) -> tuple[harness.SimConfig, dict[str, object]]:
     """The validated SimConfig of a ``simulate`` or ``audit-order`` command.
 
@@ -197,11 +221,11 @@ def _cmd_simulate(args) -> int:
     config, values = build_sim_config(args)
     workers = worker_count()
     out = _make_out_dir(values["out_dir"])
-    print(f"simulate: {config.params.n_queues} queues, {config.params.n_servers} "
+    _emit(f"simulate: {config.params.n_queues} queues, {config.params.n_servers} "
           f"servers, p={config.params.connect_prob}, lambda={config.params.arrival_prob}, "
           f"horizon={config.horizon}, replications={config.replications}, "
           f"seed={config.seed}, workers={workers}")
-    print(f"policies: {', '.join(config.policies)}")
+    _emit(f"policies: {', '.join(config.policies)}")
     report, records = harness.run_experiment(config, max_workers=workers)
     _write_lines(out / "trace.csv", harness.trace_csv_lines(config, records))
     for cost in config.cost_functions:
@@ -210,16 +234,16 @@ def _cmd_simulate(args) -> int:
         )
     summary = harness.format_dominance_summary(report)
     _write_lines(out / "summary.txt", summary.splitlines())
-    print(summary)
+    _emit(summary)
     return 0
 
 
 def _cmd_verify_lemmas(args) -> int:
     report = balance.sweep_lemmas(args.max_n, args.max_k, args.max_x)
     text = balance.format_sweep_report(report)
-    print(text)
     if args.out:
         _write_lines(args.out, text.splitlines())
+    _emit(text)
     return 0 if report.violation_count == 0 else 1
 
 
@@ -229,7 +253,7 @@ def _cmd_audit_order(args) -> int:
     report = harness.per_slot_preceq_audit(config, values["baseline"])
     text = harness.format_audit_report(report)
     _write_lines(out / "audit_order.txt", text.splitlines())
-    print(text)
+    _emit(text)
     return 0
 
 
@@ -274,7 +298,7 @@ def _cmd_solve_matching(args) -> int:
         raise CliError(str(exc)) from None
     weight = sum(w[n][k] for n, k in m)
     pairs = ",".join(f"({n},{k})" for n, k in m) if m else "none"
-    print(f"pairs {pairs} weight {weight}")
+    _emit(f"pairs {pairs} weight {weight}")
     return 0
 
 

@@ -12,17 +12,17 @@ lexicographically smallest maximum-weight matching over the serviceable
 edges under its own integer edge weights:
 
 * ``mwm``: x_n, the weight x_n c_nk of a serviceable edge;
-* ``fixed_order``: (K - k) (K + 1)^(N - 1 - n);
-* ``greedy_lcq``: the same, with n replaced by the queue's rank under
-  (-x_n, n);
-* ``random_maximal``: 2^(NK - 1 - rho), where rho is the rank, under a
-  stable sort, of the edge's draw among the slot's NK draws, and the j-th
-  serviceable edge in row-major order takes draw j.
+* each baseline: 2^(NK - 1 - key), where the edge key is n K + k for
+  ``fixed_order``, the same with n replaced by the queue's rank under
+  (-x_n, n) for ``greedy_lcq``, and for ``random_maximal`` the rank, under
+  a stable sort, of the edge's draw among the slot's NK draws, the j-th
+  serviceable edge in row-major order taking draw j.
 
-The three baselines are equally the greedy maximal matchings by an edge key:
-row-major order, (rank, server) and draw rank. Small systems score every row
-against a table of all matchings; larger ones run ``mwm`` rows through a
-batched bitmask DP and baseline rows through a batched greedy pass.
+Each baseline is the greedy maximal matching by its edge key, and distinct
+power-of-two weights make that matching the unique maximum. Small systems
+score every row against a table of all matchings; larger ones run ``mwm``
+rows through a batched bitmask DP and baseline rows through a batched
+greedy pass.
 """
 
 from __future__ import annotations
@@ -182,11 +182,9 @@ class _TableKernel:
         edges = matched[:, :, None] & (server[:, :, None] == np.arange(k))
         self.incidence = np.ascontiguousarray(edges.reshape(len(edges), -1).T, np.int64)
         self.rows = len(names) * n_rep
-        # queue factor (K + 1)^(N - 1 - rank) times server factor K - k
-        self.priority = np.outer(
-            (k + 1) ** np.arange(n - 1, -1, -1), np.arange(k, 0, -1)
-        )
         self.draw_weight = 1 << np.arange(n * k - 1, -1, -1)
+        # 2^(NK - 1 - key) for the edge key n * K + k, n the queue or its rank
+        self.priority = self.draw_weight.reshape(n, k)
         self.offsets = np.arange(n_rep)[:, None] * (n * k)
         self.queues = np.arange(n)
         self.weights = np.empty((len(names), n_rep, n, k), dtype=np.int64)

@@ -2,11 +2,10 @@
 
 The independent oracle for the transitive closure is a breadth-first search
 over the one-step moves, checked against the closed-form ``preceq_p`` on
-every small pair. The oracle for ``distance_to_mwm`` is a forward
-breadth-first search from one matching, checked against the package's
-backward search from the optima on every small instance. The oracle for
-the vectorized reallocation graph is the scalar ``balancing_condition`` on
-every ordered pair of matchings.
+every small pair. The sweep's reallocation kernel and its backward search
+from the optima are checked, one instance at a time, against two oracles:
+the scalar ``balancing_condition`` and ``matching_weight`` on every ordered
+pair of matchings, and a forward breadth-first search from each matching.
 """
 
 import random
@@ -19,16 +18,13 @@ import pytest
 from mwmlab import balance
 from mwmlab.balance import (
     BALANCING_INTERCHANGE,
+    CONDITION_C1,
+    CONDITION_C2,
     COST_FUNCTIONS,
     REDUCTION,
     TRANSPOSITION,
-    BalancingChainError,
-    _reallocation_graph,
     balancing_condition,
-    distance_to_mwm,
-    find_balancing_reallocation,
     format_sweep_report,
-    iter_balancing_reallocations,
     max_queue,
     preceq_one,
     preceq_p,
@@ -37,14 +33,16 @@ from mwmlab.balance import (
     sum_of_squares,
     sweep_lemmas,
     total_occupancy,
-    verify_lemma1,
-    verify_lemma2_corollary1,
     verify_monotone_on_pairs,
     weakly_submajorized,
 )
-from mwmlab.matching import enumerate_matchings, matching_weight
-from mwmlab.policies import decide_mwm
+from mwmlab.matching import enumerate_matchings, matching_table, matching_weight
 from mwmlab.queueing import serve
+
+# x = (1, 5), c = ((1, 1), (1, 0)) and the matching that serves queue 0 by
+# server 0: both its reallocations are found by hand, and one reaches the
+# optimum ((0, 1), (1, 0)) of weight 6.
+HAND_EXAMPLE = ((1, 5), ((1, 1), (1, 0)), ((0, 0),))
 
 
 def _successors(v):
@@ -110,11 +108,40 @@ def forward_distance(x_prev, c, start):
     return None
 
 
+def kernel_graph(x, c, matchings):
+    """One instance through the sweep's kernel and backward search.
+
+    Returns each matching's weight, its ``(j, condition)`` reallocations in
+    enumeration order, and its distance to an optimum (None if unreachable).
+    """
+    weights, c1, c2 = balance._reallocation_kernel(
+        np.array([x], dtype=np.int64),
+        np.array([c], dtype=np.int64),
+        matching_table(matchings, len(x)),
+    )
+    edges = c1 | c2
+    lists = [
+        [(j, CONDITION_C1 if c1[0, i, j] else CONDITION_C2)
+         for j in np.flatnonzero(row).tolist()]
+        for i, row in enumerate(edges[0])
+    ]
+    dist = balance._distances_to_optimum(weights, edges)[0].tolist()
+    return weights[0].tolist(), lists, [d if d >= 0 else None for d in dist]
+
+
 def all_connectivities(n, k):
     for bits in range(1 << (n * k)):
         yield tuple(
             tuple((bits >> (i * k + j)) & 1 for j in range(k)) for i in range(n)
         )
+
+
+def small_instances(n, k, max_x):
+    """Every (x, c) of one shape with x <= max_x, and the hand example of its shape."""
+    for x in product(range(max_x + 1), repeat=n):
+        yield from ((x, c) for c in all_connectivities(n, k))
+    if (n, k) == (2, 2):
+        yield HAND_EXAMPLE[:2]
 
 
 class TestPreceqOne:
@@ -247,133 +274,40 @@ class TestCostFunctions:
         assert max_queue((1, 2)) <= max_queue((0, 3))
 
 
-class TestBalancingReallocation:
-    def test_witness_found_and_validates(self):
-        x, c, m = (1, 5), ((1, 1), (1, 0)), [(0, 0)]
-        w = find_balancing_reallocation(x, c, m)
-        assert w is not None
-        assert w.condition in ("C1", "C2")
-        out_old = serve(x, c, m)
-        out_new = serve(x, c, w.replacement)
-        assert balancing_condition(out_old, out_new) == w.condition
-
-    def test_all_witnesses_enumerated(self):
-        x, c, m = (1, 5), ((1, 1), (1, 0)), [(0, 0)]
-        reps = {w.replacement for w in iter_balancing_reallocations(x, c, m)}
-        assert ((0, 1), (1, 0)) in reps
-        assert ((1, 0),) in reps
-
-    def test_mwm_matching_admits_no_reallocation(self):
-        for x in [(1, 5), (3, 3), (0, 2), (4, 1)]:
-            for c in [((1, 1), (1, 0)), ((1, 1), (1, 1)), ((0, 1), (1, 1))]:
-                m = decide_mwm(x, c)
-                assert find_balancing_reallocation(x, c, m) is None
-
-    def test_empty_system_has_no_reallocation(self):
-        assert find_balancing_reallocation((0, 0), ((1, 1), (1, 1)), [(0, 0)]) is None
-
-    def test_guard_propagates(self):
-        with pytest.raises(ValueError):
-            find_balancing_reallocation(
-                (1,) * 6, tuple((1,) * 5 for _ in range(6)), []
-            )
-
-
-class TestVerifyLemma1:
-    def test_weight_strictly_increases(self):
-        x, c, m = (1, 5), ((1, 1), (1, 0)), [(0, 0)]
-        for w in iter_balancing_reallocations(x, c, m):
-            assert verify_lemma1(x, c, m, w)
-        # the two-edge replacement lifts the weight from 1 to 6
-        w = find_balancing_reallocation(x, c, m)
-        assert matching_weight(x, c, m) == 1
-        assert matching_weight(x, c, ((0, 1), (1, 0))) == 6
-
-    def test_no_witness_exists_for_optimal_matching(self):
-        x, c = (1, 1), ((1, 0), (0, 1))
-        m = [(0, 0), (1, 1)]
-        assert list(iter_balancing_reallocations(x, c, m)) == []
-
-    def test_invalid_witness_rejected(self):
-        x, c, m = (1, 5), ((1, 1), (1, 0)), [(0, 0)]
-        good = find_balancing_reallocation(x, c, m)
-        from mwmlab.balance import ReallocationWitness
-
-        wrong_condition = ReallocationWitness(
-            good.original, good.replacement,
-            "C1" if good.condition == "C2" else "C2",
-        )
-        with pytest.raises(ValueError):
-            verify_lemma1(x, c, m, wrong_condition)
-        wrong_origin = ReallocationWitness(((1, 0),), good.replacement, good.condition)
-        with pytest.raises(ValueError):
-            verify_lemma1(x, c, m, wrong_origin)
-
-
-class TestVerifyLemma2Corollary1:
-    def test_biconditional_small_exhaustive(self):
-        for x in product(range(3), repeat=2):
-            for bits in range(16):
-                c = ((bits & 1, (bits >> 1) & 1), ((bits >> 2) & 1, (bits >> 3) & 1))
-                for m in enumerate_matchings(2, 2):
-                    assert verify_lemma2_corollary1(x, c, m)
-
-    def test_optimal_matching_case(self):
-        x, c = (2, 3), ((1, 1), (1, 1))
-        assert verify_lemma2_corollary1(x, c, decide_mwm(x, c))
-
-
 class TestReallocationGraph:
     @pytest.mark.parametrize("n, k, max_x", [(1, 1, 3), (1, 2, 3), (2, 1, 3),
                                              (2, 2, 3), (3, 1, 3), (3, 2, 3),
                                              (2, 3, 2)])
     def test_matches_scalar_classifier(self, n, k, max_x):
         matchings = list(enumerate_matchings(n, k))
-        for x in product(range(max_x + 1), repeat=n):
-            for c in all_connectivities(n, k):
-                served = [serve(x, c, m) for m in matchings]
-                _, weights, edges, _ = _reallocation_graph(x, c, matchings)
-                assert weights == [matching_weight(x, c, m) for m in matchings]
-                for i, base in enumerate(served):
-                    conds = [
-                        (j, balancing_condition(base, other))
-                        for j, other in enumerate(served)
-                        if j != i
-                    ]
-                    assert edges[i] == [(j, cond) for j, cond in conds if cond]
+        for x, c in small_instances(n, k, max_x):
+            served = [serve(x, c, m) for m in matchings]
+            weights, edges, _ = kernel_graph(x, c, matchings)
+            assert weights == [matching_weight(x, c, m) for m in matchings]
+            for i, base in enumerate(served):
+                conds = [
+                    (j, balancing_condition(base, other))
+                    for j, other in enumerate(served)
+                    if j != i
+                ]
+                assert edges[i] == [(j, cond) for j, cond in conds if cond]
 
 
 class TestDistanceToMwm:
-    def test_zero_for_optimal(self):
-        x, c = (2, 3), ((1, 1), (1, 1))
-        assert distance_to_mwm(x, c, decide_mwm(x, c)) == 0
-
-    def test_single_reallocation(self):
-        assert distance_to_mwm((1, 5), ((1, 1), (1, 0)), [(0, 0)]) == 1
-
-    def test_all_matchings_optimal_when_empty(self):
-        for m in enumerate_matchings(2, 2):
-            assert distance_to_mwm((0, 0), ((1, 1), (1, 1)), m) == 0
-
-    def test_every_small_instance_reaches_the_optimum(self):
-        for x in product(range(3), repeat=2):
-            for bits in range(16):
-                c = ((bits & 1, (bits >> 1) & 1), ((bits >> 2) & 1, (bits >> 3) & 1))
-                for m in enumerate_matchings(2, 2):
-                    distance_to_mwm(x, c, m)  # raises BalancingChainError on failure
-
     def test_matches_forward_search_oracle(self):
         # one backward search per instance gives every matching's distance
         for n, k in product(range(1, 4), range(1, 3)):
             matchings = list(enumerate_matchings(n, k))
-            for x in product(range(3), repeat=n):
-                for c in all_connectivities(n, k):
-                    assert _reallocation_graph(x, c, matchings)[3] == [
-                        forward_distance(x, c, m) for m in matchings
-                    ]
-
-    def test_chain_error_type_exists(self):
-        assert issubclass(BalancingChainError, RuntimeError)
+            for x, c in small_instances(n, k, 2):
+                assert kernel_graph(x, c, matchings)[2] == [
+                    forward_distance(x, c, m) for m in matchings
+                ]
+        x, c, m = HAND_EXAMPLE
+        matchings = list(enumerate_matchings(2, 2))
+        _, edges, dist = kernel_graph(x, c, matchings)
+        i = matchings.index(m)
+        assert sorted(matchings[j] for j, _ in edges[i]) == [((0, 1), (1, 0)), ((1, 0),)]
+        assert dist[i] == 1
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Command line behavior: parsing, validation, files, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,19 @@ class TestParsing:
         )
         assert code == 2
         assert "p" in err and "[0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "key", ["queues", "servers", "horizon", "replications", "record_interval"]
+    )
+    def test_count_below_one_names_the_key(self, capsys, tmp_path, key):
+        flags = dict(zip(SIM_FLAGS[::2], SIM_FLAGS[1::2]))
+        flags["--" + key.replace("_", "-")] = "0"
+        argv = [item for pair in flags.items() for item in pair]
+        code, out, err = run_cli(
+            ["simulate", *argv, "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert err.startswith(f"error: {key} must be an integer >= 1, got '0'")
 
     def test_empty_simulate_lists_required_flags(self, capsys):
         code, out, err = run_cli(["simulate"], capsys)
@@ -227,7 +241,7 @@ class TestVerifyLemmas:
         )
         assert code == 2
         assert err.startswith(f"error: cannot write {out_file}")
-        assert "total violations: 0" in out
+        assert "instances checked" not in out
 
     def test_exit_nonzero_when_a_violation_is_reported(self, capsys, monkeypatch):
         from mwmlab import balance
@@ -404,6 +418,42 @@ class TestSimulateFiles:
         )
         assert code == 2
         assert "MWMLAB_THREADS" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "command, written", [("verify-lemmas", "report.txt"), ("simulate", "summary.txt")]
+    )
+    def test_outputs_and_exit_status_survive_a_closed_pipe(
+        self, capsys, tmp_path, command, written, unbuffered
+    ):
+        def argv(out):
+            if command == "verify-lemmas":
+                return [command, "--max-n", "3", "--max-k", "2", "--max-x", "3",
+                        "--out", str(out / written)]
+            return [command, *SIM_FLAGS, "--out-dir", str(out)]
+
+        closed, ordinary = tmp_path / "closed", tmp_path / "ordinary"
+        closed.mkdir()
+        ordinary.mkdir()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mwmlab.cli", *argv(closed)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+        proc.stdout.close()  # the reader is gone before the command prints
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert run_cli(argv(ordinary), capsys)[0] == 0
+        texts = [
+            [line for line in (out / written).read_text().splitlines()
+             if "elapsed seconds" not in line]
+            for out in (closed, ordinary)
+        ]
+        assert texts[0] == texts[1]
 
 
 # Runs commands after `import mwmlab.cli` and prints their exit codes and the

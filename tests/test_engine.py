@@ -127,8 +127,8 @@ def _policy_weights(policy, x, c, u):
             (x[:, None, :] == x[:, :, None]) & (queue[None, :] < queue[:, None])
         )
         queue = ahead.sum(axis=2)
-    weights = (k + 1) ** (n - 1 - queue)[..., None] * np.arange(k, 0, -1)
-    return np.broadcast_to(weights, c.shape)
+    key = queue[..., None] * k + np.arange(k)  # n K + k, n the queue or its rank
+    return np.broadcast_to(1 << (n * k - 1 - key), c.shape)
 
 
 @pytest.mark.parametrize("n,k", list(product((1, 2, 3), repeat=2)))
