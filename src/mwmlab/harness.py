@@ -2,17 +2,19 @@
 
 Every policy replays the identical realization of connectivities and
 arrivals for each replication, so trajectory differences are attributable
-to the policies alone; ``engine.simulate`` advances all of them in lockstep. The comparison aggregates per-slot mean costs and
-empirical tail probabilities with exact binomial confidence intervals, and
-flags any point where the reference policy's tail provably exceeds a
-baseline's.
+to the policies alone; ``engine.simulate`` advances all of them in lockstep.
+The comparison aggregates per-slot mean costs and empirical tail
+probabilities with exact binomial confidence intervals, and flags any point
+where the reference policy's tail provably exceeds a baseline's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +93,7 @@ class SimConfig:
         return tuple(int(v) for v in self.initial_state)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """State of one policy's replication at one recorded slot."""
 
     replication: int
@@ -135,14 +136,24 @@ class DominanceReport:
     replications: int
     horizon: int
     sampled_slots: tuple[int, ...]
-    # per cost: rows (slot, threshold, policy, ccdf, ci_low, ci_high)
-    ccdf: dict[str, tuple[tuple[int, int, str, float, float, float], ...]]
+    # (ci_low, ci_high) of each success count k = 0..replications
+    intervals: tuple[tuple[float, float], ...]
+    # per cost: threshold count; r runs up to the pooled 99th percentile of the cost
+    thresholds: dict[str, int]
+    # per cost: success counts k = #(cost > r), flat in (slot, r, policy) order
+    counts: dict[str, tuple[int, ...]]
     # per cost, per policy: mean cost at each sampled slot
     mean_costs: dict[str, dict[str, tuple[float, ...]]]
     # per policy: mean total occupancy at every slot 0..horizon
     mean_occupancy: dict[str, tuple[float, ...]]
     stability: dict[str, StabilityCheck]
     violations: tuple[DominanceViolation, ...]
+
+    def ccdf(self, cost: str) -> Iterator[tuple[int, int, str, float, float, float]]:
+        """Rows (slot, threshold, policy, ccdf, ci_low, ci_high) of one cost, from the counts."""
+        points = itertools.product(self.sampled_slots, range(self.thresholds[cost]), self.policies)
+        for point, k in zip(points, self.counts[cost]):
+            yield (*point, k / self.replications, *self.intervals[k])
 
 
 def sampled_slots(horizon: int) -> tuple[int, ...]:
@@ -257,11 +268,19 @@ def clopper_pearson(successes: int, trials: int, level: float = CONFIDENCE_LEVEL
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     log_q = math.log((1.0 - level) / 2)
-    lo = 0.0 if successes == 0 else math.exp(_log_lower_bound(successes, trials, log_q))
-    hi = 1.0 if successes == trials else -math.expm1(
-        _log_lower_bound(trials - successes, trials, log_q)
+    return (
+        math.exp(_log_lower_bound(successes, trials, log_q)),
+        -math.expm1(_log_lower_bound(trials - successes, trials, log_q)),
     )
-    return lo, hi
+
+
+def _interval_table(trials: int) -> tuple[tuple[float, float], ...]:
+    """``clopper_pearson(k, trials)`` for k = 0..trials, solving each root once."""
+    log_q = math.log((1.0 - CONFIDENCE_LEVEL) / 2)
+    roots = [_log_lower_bound(k, trials, log_q) for k in range(trials + 1)]
+    return tuple(
+        (math.exp(s), -math.expm1(mirror)) for s, mirror in zip(roots, reversed(roots))
+    )
 
 
 # log(m!) - (m log m - m + log(2 pi m) / 2) for m = 1..15, rounded from 50 digits;
@@ -298,7 +317,7 @@ def _stirling_error(m: int) -> float:
 
 
 def _log_lower_bound(k: int, n: int, log_q: float) -> float:
-    """log p where P(Bin(n, p) >= k) = exp(log_q), for 1 <= k <= n.
+    """log p where P(Bin(n, p) >= k) = exp(log_q), for 0 <= k <= n.
 
     Newton's method in s = log p. The log tail is increasing and concave in
     s, so from the union-bound start C(n, k) p^k = q, which lies left of the
@@ -306,7 +325,10 @@ def _log_lower_bound(k: int, n: int, log_q: float) -> float:
     start that lies right of it returns to the left in one step. The tail
     is the point mass at k, from Stirling's series without cancellation,
     times the ratio sum over k..n, which stops once its terms are negligible.
+    At k = 0 the tail is 1 for every p, and the bound is p = 0.
     """
+    if k == 0:
+        return -math.inf
     if k == n:
         return log_q / n
     x = k / n
@@ -357,41 +379,30 @@ def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
     }
 
     # the success count k of any point lies in 0..reps
-    tail_points = [(k / reps, *clopper_pearson(k, reps)) for k in range(reps + 1)]
-    ccdf: dict[str, tuple] = {}
+    intervals = _interval_table(reps)
+    lows, highs = np.array(intervals).T
+    mwm = config.policies.index(policies.MWM)
+    thresholds: dict[str, int] = {}
+    counts: dict[str, tuple[int, ...]] = {}
     mean_costs: dict[str, dict[str, tuple[float, ...]]] = {}
     violations: list[DominanceViolation] = []
     for cost in config.cost_functions:
         pooled = np.concatenate([values[p][cost].ravel() for p in config.policies])
-        r_max = _percentile_99(pooled)
-        # k = #(value > r) for every (policy, sampled slot) and every r at once
-        thresholds = np.arange(r_max + 1)
-        counts = [
-            [
-                (reps - np.searchsorted(column, thresholds, side="right")).tolist()
-                for column in np.sort(values[p][cost], axis=0).T
-            ]
-            for p in config.policies
-        ]
-        rows = []
-        for slot_idx, slot in enumerate(sampled):
-            at_slot = [per_slot[slot_idx] for per_slot in counts]
-            for threshold in range(r_max + 1):
-                points = {}
-                for p, ks in zip(config.policies, at_slot):
-                    point = points[p] = tail_points[ks[threshold]]
-                    rows.append((slot, threshold, p, *point))
-                mwm_p, mwm_lo, _ = points[policies.MWM]
-                for p in config.policies:
-                    pol_p, _, pol_hi = points[p]
-                    if mwm_lo > pol_hi:
-                        violations.append(
-                            DominanceViolation(
-                                cost, slot, threshold, p,
-                                mwm_p, pol_p, mwm_lo, pol_hi,
-                            )
-                        )
-        ccdf[cost] = tuple(rows)
+        thresholds[cost] = _percentile_99(pooled) + 1
+        # k = #(value > r) for every (slot, r, policy) at once
+        grid = np.arange(thresholds[cost])
+        ks = reps - np.array([
+            [np.searchsorted(column, grid, side="right") for column in v.T]
+            for v in np.sort([values[p][cost] for p in config.policies], axis=1)
+        ]).transpose(1, 2, 0)
+        counts[cost] = tuple(ks.ravel().tolist())
+        # the mwm tail provably exceeds a baseline's where the intervals are disjoint
+        for s, r, p in zip(*np.nonzero(lows[ks[:, :, mwm, None]] > highs[ks])):
+            k_mwm, k_p = ks[s, r, [mwm, p]].tolist()
+            violations.append(DominanceViolation(
+                cost, sampled[s], int(r), config.policies[p],
+                k_mwm / reps, k_p / reps, intervals[k_mwm][0], intervals[k_p][1],
+            ))
         mean_costs[cost] = {
             p: tuple((values[p][cost].sum(axis=0) / reps).tolist())
             for p in config.policies
@@ -403,7 +414,9 @@ def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
         replications=reps,
         horizon=horizon,
         sampled_slots=tuple(sampled),
-        ccdf=ccdf,
+        intervals=intervals,
+        thresholds=thresholds,
+        counts=counts,
         mean_costs=mean_costs,
         mean_occupancy=mean_occupancy,
         stability=stability,
@@ -510,7 +523,7 @@ def trace_csv_lines(config: SimConfig, records: Iterable[TraceRecord]):
         + ",".join(f"x_{i}" for i in range(n))
     )
     for rec in records:
-        state = ",".join(str(v) for v in rec.state)
+        state = ",".join(map(str, rec.state))
         for cost_name, cost_value in zip(config.cost_functions, rec.costs):
             yield (
                 f"{rec.replication},{rec.slot},{rec.policy},"
@@ -519,18 +532,29 @@ def trace_csv_lines(config: SimConfig, records: Iterable[TraceRecord]):
 
 
 def dominance_csv_lines(report: DominanceReport, cost: str):
-    """Tail-probability rows with confidence bounds for one cost function."""
+    """Tail-probability rows of one cost; a row's count k picks one of R + 1 strings."""
     yield "slot,r,policy,ccdf,ci_low,ci_high"
-    for slot, threshold, policy, ccdf, lo, hi in report.ccdf[cost]:
-        yield f"{slot},{threshold},{policy},{ccdf!r},{lo!r},{hi!r}"
+    reps = report.replications
+    tails = [f"{k / reps!r},{lo!r},{hi!r}" for k, (lo, hi) in enumerate(report.intervals)]
+    rows = [[f"{p},{tail}" for tail in tails] for p in report.policies]
+    counts = iter(report.counts[cost])
+    for slot in report.sampled_slots:
+        for threshold in range(report.thresholds[cost]):
+            prefix = f"{slot},{threshold},"
+            for by_k, k in zip(rows, counts):
+                yield prefix + by_k[k]
+
+
+# Lines joined per write: enough to amortize the call, small enough to stream.
+_WRITE_BATCH = 4096
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write text lines with '\\n' endings and a trailing newline."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        while batch := list(itertools.islice(lines, _WRITE_BATCH)):
+            fh.write("\n".join(batch) + "\n")
 
 
 def format_dominance_summary(report: DominanceReport) -> str:

@@ -10,6 +10,7 @@ from scipy.special import betaincinv
 from mwmlab.balance import COST_FUNCTIONS
 from mwmlab.harness import (
     CONFIDENCE_LEVEL,
+    DominanceViolation,
     SimConfig,
     clopper_pearson,
     dominance_csv_lines,
@@ -20,9 +21,10 @@ from mwmlab.harness import (
     run_replication,
     sampled_slots,
     trace_csv_lines,
+    write_lines,
 )
 from mwmlab.queueing import SystemParams, serve
-from mwmlab import engine
+from mwmlab import engine, harness
 from mwmlab import policies as pol
 from mwmlab import rng
 from test_balance import bfs_lower_set
@@ -207,7 +209,7 @@ class TestCoupledCompare:
         report = run_experiment(cfg)[0]
         for cost in cfg.cost_functions:
             series = {}
-            for slot, r, policy, ccdf, lo, hi in report.ccdf[cost]:
+            for slot, r, policy, ccdf, lo, hi in report.ccdf(cost):
                 assert 0.0 <= lo <= ccdf <= hi <= 1.0
                 series.setdefault((slot, policy), []).append((r, ccdf))
             for points in series.values():
@@ -218,7 +220,7 @@ class TestCoupledCompare:
         cfg = make_config(horizon=16, replications=7, record_interval=1)
         report, records = run_experiment(cfg)
         for cost_idx, cost in enumerate(cfg.cost_functions):
-            for slot, r, policy, ccdf, lo, hi in report.ccdf[cost]:
+            for slot, r, policy, ccdf, lo, hi in report.ccdf(cost):
                 vals = [
                     rec.costs[cost_idx]
                     for rec in records
@@ -244,6 +246,55 @@ class TestCoupledCompare:
                     assert report.mean_costs[cost][policy][slot_idx] == pytest.approx(
                         sum(vals) / len(vals)
                     )
+
+    def test_violations_match_a_per_point_oracle(self):
+        # hand-made costs: at slot 2 every mwm value exceeds every fixed_order
+        # value and most greedy_lcq values, so for r in 5..6 the mwm interval
+        # lies wholly above both baselines'
+        cfg = make_config(
+            horizon=4, replications=20, policies=("mwm", "fixed_order", "greedy_lcq")
+        )
+        sampled = sampled_slots(cfg.horizon)
+        gen = np.random.default_rng(5)
+        costs = {p: gen.integers(0, 12, size=(20, len(sampled))) for p in cfg.policies}
+        for p, (low, high) in zip(cfg.policies, [(7, 12), (0, 6), (0, 9)]):
+            costs[p][:, 1] = gen.integers(low, high, size=20)
+        values = {
+            p: {"total_occupancy": v, "max_queue": v // 3} for p, v in costs.items()
+        }
+        occ_sums = {p: np.zeros(cfg.horizon + 1, dtype=np.int64) for p in cfg.policies}
+        report = harness._build_report(cfg, sampled, occ_sums, values)
+
+        reps = cfg.replications
+        expected = []
+        for cost in cfg.cost_functions:
+            pooled = sorted(int(v) for p in cfg.policies for v in values[p][cost].ravel())
+            r_max = pooled[(99 * len(pooled) + 99) // 100 - 1]
+            for slot_idx, slot in enumerate(sampled):
+                for r in range(r_max + 1):
+                    k = {
+                        p: sum(int(v) > r for v in values[p][cost][:, slot_idx])
+                        for p in cfg.policies
+                    }
+                    mwm_lo = clopper_pearson(k["mwm"], reps)[0]
+                    for p in cfg.policies:
+                        hi = clopper_pearson(k[p], reps)[1]
+                        if mwm_lo > hi:
+                            expected.append(DominanceViolation(
+                                cost, slot, r, p, k["mwm"] / reps, k[p] / reps, mwm_lo, hi,
+                            ))
+        assert list(report.violations) == expected
+        assert {(v.cost, v.slot, v.threshold, v.policy) for v in expected} >= {
+            ("total_occupancy", 2, r, p) for r in (5, 6) for p in cfg.policies[1:]
+        }
+        text = format_dominance_summary(report)
+        assert f"dominance violations: {len(expected)}" in text
+        lines = [line for line in text.splitlines() if "VIOLATION" in line]
+        assert len(lines) == len(expected)
+        for line, v in zip(lines, expected):
+            assert line.startswith(
+                f"  VIOLATION cost={v.cost} slot={v.slot} r={v.threshold} policy={v.policy} "
+            )
 
     def test_zero_arrivals_zero_occupancy_for_all(self):
         cfg = make_config(params=SystemParams(3, 2, 0.5, 0.0), horizon=32)
@@ -316,6 +367,11 @@ class TestClopperPearson:
             for k, lo, hi in zip(ks.tolist(), lows.tolist(), highs.tolist()):
                 assert clopper_pearson(k, n)[0] == pytest.approx(lo, rel=1e-12)
                 assert clopper_pearson(n - k, n)[1] == pytest.approx(hi, rel=1e-12)
+
+    def test_interval_table_is_clopper_pearson_bit_for_bit(self):
+        for n in (1, 2, 3, 10, 199, 200):
+            table = harness._interval_table(n)
+            assert table == tuple(clopper_pearson(k, n) for k in range(n + 1))
 
     def test_closed_form_ends(self):
         q = (1.0 - CONFIDENCE_LEVEL) / 2
@@ -414,6 +470,57 @@ class TestCsvShapes:
         lines = list(dominance_csv_lines(report, "total_occupancy"))
         assert lines[0] == "slot,r,policy,ccdf,ci_low,ci_high"
         assert len(lines) > 1
+
+    def test_writers_match_row_by_row_oracle(self, tmp_path):
+        cfg = make_config(
+            params=SystemParams(4, 2, 0.5, 0.6), horizon=40, replications=7,
+            record_interval=1, policies=("mwm", "greedy_lcq", "fixed_order"),
+            cost_functions=("total_occupancy", "sum_of_squares"),
+        )
+        report, records = run_experiment(cfg)
+        reps = cfg.replications
+
+        trace = ["replication,slot,policy,cost_name,cost_value,mw_index,x_0,x_1,x_2,x_3"]
+        for rec in records:
+            state = ",".join(str(v) for v in rec.state)
+            for cost, value in zip(cfg.cost_functions, rec.costs):
+                trace.append(
+                    f"{rec.replication},{rec.slot},{rec.policy},"
+                    f"{cost},{value},{rec.mw_index},{state}"
+                )
+        expected = {"trace.csv": trace}
+        for cost_idx, cost in enumerate(cfg.cost_functions):
+            at = {}
+            for rec in records:
+                at.setdefault((rec.slot, rec.policy), []).append(rec.costs[cost_idx])
+            pooled = sorted(
+                v for slot in report.sampled_slots for p in cfg.policies for v in at[slot, p]
+            )
+            r_max = pooled[(99 * len(pooled) + 99) // 100 - 1]
+            rows = ["slot,r,policy,ccdf,ci_low,ci_high"]
+            for slot in report.sampled_slots:
+                for r in range(r_max + 1):
+                    for p in cfg.policies:
+                        k = sum(v > r for v in at[slot, p])
+                        lo, hi = clopper_pearson(k, reps)
+                        rows.append(f"{slot},{r},{p},{k / reps!r},{lo!r},{hi!r}")
+            expected[f"dominance_{cost}.csv"] = rows
+
+        write_lines(tmp_path / "trace.csv", trace_csv_lines(cfg, records))
+        for cost in cfg.cost_functions:
+            write_lines(tmp_path / f"dominance_{cost}.csv", dominance_csv_lines(report, cost))
+        # the largest file spans several write batches
+        assert len(expected["dominance_sum_of_squares.csv"]) > 2 * harness._WRITE_BATCH
+        for name, lines in expected.items():
+            assert (tmp_path / name).read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_write_lines_batches_match_line_by_line(self, tmp_path):
+        batch = harness._WRITE_BATCH
+        for count in (0, 1, batch, batch + 1):
+            lines = [f"line {i},{i * i}" for i in range(count)]
+            path = tmp_path / f"{count}.txt"
+            write_lines(path, iter(lines))
+            assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
     def test_summary_mentions_violation_count(self):
         cfg = make_config(horizon=8, replications=3)
