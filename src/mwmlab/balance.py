@@ -30,7 +30,7 @@ from .matching import (
     ENUMERATION_LIMIT,
     enumerate_matchings,
     matching_table,
-    max_weight_matching,
+    max_weight_servers,
 )
 from .queueing import QueueState, validate_state
 
@@ -354,10 +354,12 @@ def _sweep_shape(
             return f"N={n_queues} K={n_servers} x={tuple(x[b].tolist())} c={c_b}"
 
         ws, opts = mw.tolist(), opt.tolist()
-        for b, w in enumerate((x[:, :, None] * c).tolist()):
-            solved = max_weight_matching(w)
-            if sum(w[n][k] for n, k in solved) != opts[b]:
-                report.solver_mismatches.append(f"{inst(b)} solver={solved}")
+        w = x[:, :, None] * c
+        servers = max_weight_servers(w)
+        solved = (w * (servers[:, :, None] == np.arange(n_servers))).sum(axis=(1, 2))
+        for b in np.flatnonzero(solved != opt):
+            pairs = tuple((q, s) for q, s in enumerate(servers[b].tolist()) if s >= 0)
+            report.solver_mismatches.append(f"{inst(b)} solver={pairs}")
         for b, i, j in zip(*np.nonzero(edges & (mw[:, None, :] <= mw[:, :, None]))):
             report.weight_increase_violations.append(
                 f"{inst(b)} m={matchings[i]} -> {matchings[j]} "

@@ -21,8 +21,27 @@ edges under its own integer edge weights:
 Each baseline is the greedy maximal matching by its edge key, and distinct
 power-of-two weights make that matching the unique maximum. Small systems
 score every row against a table of all matchings; larger ones run ``mwm``
-rows through a batched bitmask DP and baseline rows through a batched
-greedy pass.
+rows through ``matching.max_weight_servers`` and baseline rows through a
+batched greedy pass.
+
+Each chunk of slots is advanced in two passes. The speculative pass splits
+it into S segments of L slots and advances them all in lockstep, one batch
+of S·P·R rows a kernel call: segment 0 from the true state, every other
+segment from the empty state, each on its own slots' draws. The repair pass
+then goes through the boundaries in order. Where the exact state at a
+boundary is not all zero, it steps slot by slot from that state, writing
+over the speculative states, until every row equals them again, which may
+be past the segment's end. The stitched path is exact: a slot's update is a
+deterministic function of the row's state and the slot's draws, so a
+speculative trajectory that meets the exact one at some slot stays on it
+from then on, the coalescence that coupling from the past rests on (Propp &
+Wilson, 1996). Only the number of repair steps depends on where paths meet.
+S is 1, and a chunk runs slot by slot, when the P·R rows already fill a
+speculative batch, when the chunk is shorter than two segments, or when
+N·λ >= min(N, K): then no policy can serve the mean arrivals, the queues
+grow, and segments started empty never coalesce. Near capacity they hardly
+coalesce either, so once a chunk's two passes make more kernel calls than
+three quarters of its slots, the rest of the run goes slot by slot too.
 """
 
 from __future__ import annotations
@@ -34,7 +53,7 @@ from math import comb, perm
 import numpy as np
 
 from . import matching, rng
-from .matching import enumerate_matchings, matching_table, max_weight_matching
+from .matching import enumerate_matchings, matching_table, max_weight_servers
 from .policies import FIXED_ORDER, GREEDY_LCQ, MWM, RANDOM_MAXIMAL
 
 # Systems with at most this many matchings use the table kernel. The table
@@ -45,6 +64,13 @@ _TABLE_MAX_MATCHINGS = 256
 # A chunk of slots holds about this many cells of the block's states or
 # draws; it bounds the memory of long horizons.
 _CHUNK_CELLS = 1 << 16
+
+# The speculative pass advances about this many rows per kernel call, in
+# segments of at least this many slots. Up to about 128 rows a kernel call
+# costs little more than its fixed dispatch; shorter segments would coalesce
+# too rarely before they end for the repairs to stay short.
+_SPECULATIVE_ROWS = 128
+_MIN_SEGMENT = 32
 
 # Table weight of an edge that is not serviceable: a matching that uses one
 # scores below the empty matching, which scores 0.
@@ -79,11 +105,15 @@ def simulate(
     n, k = params.n_queues, params.n_servers
     horizon, interval = config.horizon, config.record_interval
     shape = (len(names), len(replications), n)
-    x = np.empty(shape, dtype=np.int64)
-    x[...] = config.start_state()
-    kernel = _kernel(n, k, names, len(replications))
+    kernel = _kernel(n, k, names)
 
     chunk = min(horizon, max(1, _CHUNK_CELLS // (shape[1] * max(shape[0] * n, n * k))))
+    segments = 1
+    if n * params.arrival_prob < min(n, k):
+        rows = shape[0] * shape[1]
+        segments = max(1, min(_SPECULATIVE_ROWS // rows, chunk // _MIN_SEGMENT))
+    length = -(-chunk // segments)
+    chunk = segments * length
     kinds = [(rng.STREAM_CONNECTIVITY, n * k), (rng.STREAM_ARRIVALS, n)]
     if RANDOM_MAXIMAL in names:
         kinds.append((rng.STREAM_POLICY, n * k))
@@ -92,28 +122,23 @@ def simulate(
         for kind, values in kinds
     ]
 
+    # hist[0] is the state before the chunk, hist[i] the state after its slot i
+    hist = np.empty((chunk + 1, *shape), dtype=np.int64)
+    hist[0] = config.start_state()
     occupancy = np.empty((shape[0], horizon + 1), dtype=np.int64)
-    occupancy[:, 0] = x.sum(axis=(1, 2))
+    occupancy[:, 0] = hist[0].sum(axis=(1, 2))
     sampled_states = np.empty((*shape[:2], len(sampled), n), dtype=np.int64)
     recorded = np.empty((*shape[:2], horizon // interval, n), dtype=np.int64)
     mw_index = np.empty(recorded.shape[:3], dtype=np.int64)
-    # hist[0] is the state before the chunk, hist[i] the state after its slot i
-    hist = np.empty((chunk + 1, *shape), dtype=np.int64)
 
     for first in range(1, horizon + 1, chunk):
         size = min(chunk, horizon + 1 - first)
-        conn = _next_chunk(streams[0], size) < params.connect_prob
-        conn = conn.reshape(size, shape[1], n, k)
-        arrivals = _next_chunk(streams[1], size) < params.arrival_prob
-        ranks = [None] * size
+        conn = _next_chunk(streams[0], length) < params.connect_prob
+        arrivals = _next_chunk(streams[1], length) < params.arrival_prob
+        draws = [conn.reshape(length, -1, n, k), arrivals]
         if len(streams) > 2:
-            ranks = _draw_ranks(_next_chunk(streams[2], size))
-
-        hist[0] = x
-        for i in range(size):
-            x -= kernel(x, conn[i], ranks[i])
-            x += arrivals[i]
-            hist[i + 1] = x
+            draws.append(_draw_ranks(_next_chunk(streams[2], length)))
+        steps = _advance(kernel, hist, draws, size, length)
 
         occupancy[:, first : first + size] = hist[1 : size + 1].sum(axis=(2, 3)).T
         for j, t in enumerate(sampled):
@@ -123,18 +148,71 @@ def simulate(
         if slots.size:
             pos = slots - first + 1
             before = hist[pos - 1]
-            served = before + arrivals[pos - 1, None] - hist[pos]
+            segment, step = divmod(pos - 1, length)
+            slot_arrivals = arrivals.reshape(length, chunk // length, -1, n)[step, segment]
+            served = before + slot_arrivals[:, None] - hist[pos]
             lo = slots[0] // interval - 1
             recorded[:, :, lo : lo + slots.size] = hist[pos].transpose(1, 2, 0, 3)
             weights = (before * served).sum(axis=3)
             mw_index[:, :, lo : lo + slots.size] = weights.transpose(1, 2, 0)
+        hist[0] = hist[size]
+        if steps > size * 3 // 4:
+            length = chunk  # the segments hardly coalesce: one a chunk from now on
 
     return Block(occupancy, sampled_states, recorded, mw_index)
 
 
-def _next_chunk(streams, size: int) -> np.ndarray:
-    """The next ``size`` slots of one stream kind, (size, R, values)."""
-    return np.stack([next(s) for s in streams], axis=1)[:size]
+def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> int:
+    """Fill ``hist[1 : size + 1]`` from the exact ``hist[0]``, ``length`` slots a segment.
+
+    ``draws`` are the chunk's connectivities, arrivals and, with
+    ``random_maximal``, draw ranks, as ``_next_chunk`` lays them out.
+    Returns the number of kernel calls made.
+    """
+    p, r, n = hist.shape[1:]
+    segments = -(-size // length)
+    states = np.zeros((p, segments, r, n), dtype=np.int64)
+    states[:, 0] = hist[0]
+    x = states.reshape(p, segments * r, n)
+    out = hist[1 : segments * length + 1].reshape(segments, length, p, r, n)
+    by_segment = states.swapaxes(0, 1)
+    for j, step in enumerate(zip(*(d[:size, : segments * r] for d in draws))):
+        _step(kernel, x, *step)
+        out[:, j] = by_segment
+    steps = min(length, size)
+    reached = 0  # the last repair made hist[:reached + 1] exact
+    for b in range(length, size, length):
+        if b < reached or not hist[b].any():
+            continue
+        x = hist[b].copy()
+        reached = b
+        while reached < size:
+            segment, j = divmod(reached, length)
+            _step(kernel, x, *(d[j, segment * r : segment * r + r] for d in draws))
+            reached += 1
+            if np.array_equal(x, hist[reached]):
+                break
+            hist[reached] = x
+        steps += reached - b
+    return steps
+
+
+def _step(kernel, x: np.ndarray, conn: np.ndarray, arrivals: np.ndarray, ranks=None):
+    """Advance the (P, B, N) states ``x`` in place by one slot of B rows' draws."""
+    x -= kernel(x, conn, ranks)
+    x += arrivals
+
+
+def _next_chunk(streams, length: int) -> np.ndarray:
+    """The next chunk of one stream kind, in segments of ``length`` slots.
+
+    The shape is (length, S R, values): slot s ``length`` + j of the r-th
+    replication sits at [j, s R + r], so row j holds step j of every segment.
+    """
+    chunks = [next(s) for s in streams]
+    segments, values = len(chunks[0]) // length, chunks[0].shape[1]
+    steps = [c.reshape(segments, length, values).swapaxes(0, 1) for c in chunks]
+    return np.stack(steps, axis=2).reshape(length, -1, values)
 
 
 def _draw_ranks(u: np.ndarray) -> np.ndarray:
@@ -151,22 +229,21 @@ def _queue_rank(x: np.ndarray, queues: np.ndarray) -> np.ndarray:
     return (key[:, None, :] > key[:, :, None]).sum(axis=2)
 
 
-def _draw_rank(serv: np.ndarray, ranks: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _draw_rank(serv: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Rank of the draw each edge takes: the j-th serviceable edge takes draw j.
 
-    ``serv`` is (R, N, K), ``ranks`` the (R, NK) draw ranks of the slot and
-    ``offsets`` the start of each row in ``ranks``.
+    ``serv`` is (B, N, K) and ``ranks`` the (B, NK) draw ranks of the slot.
     """
     flat = serv.reshape(len(ranks), -1)
     taken = flat.cumsum(axis=1) - flat  # draws of earlier serviceable edges
-    return ranks.take(taken + offsets)
+    return ranks.take(taken + np.arange(0, ranks.size, flat.shape[1])[:, None])
 
 
-def _kernel(n: int, k: int, names: Sequence[str], n_rep: int):
+def _kernel(n: int, k: int, names: Sequence[str]):
     count = sum(comb(n, j) * perm(k, j) for j in range(min(n, k) + 1))
     if n * k <= matching.ENUMERATION_LIMIT and count <= _TABLE_MAX_MATCHINGS:
-        return _TableKernel(n, k, names, n_rep)
-    return _SplitKernel(n, k, names, n_rep)
+        return _TableKernel(n, k, names)
+    return _SplitKernel(n, k, names)
 
 
 class _TableKernel:
@@ -176,44 +253,40 @@ class _TableKernel:
     returns the canonical optimum of each row.
     """
 
-    def __init__(self, n: int, k: int, names: Sequence[str], n_rep: int):
+    def __init__(self, n: int, k: int, names: Sequence[str]):
         matched, server = matching_table(sorted(enumerate_matchings(n, k)), n)
         self.served = matched.astype(np.int64)
         edges = matched[:, :, None] & (server[:, :, None] == np.arange(k))
         self.incidence = np.ascontiguousarray(edges.reshape(len(edges), -1).T, np.int64)
-        self.rows = len(names) * n_rep
         self.draw_weight = 1 << np.arange(n * k - 1, -1, -1)
         # 2^(NK - 1 - key) for the edge key n * K + k, n the queue or its rank
         self.priority = self.draw_weight.reshape(n, k)
-        self.offsets = np.arange(n_rep)[:, None] * (n * k)
         self.queues = np.arange(n)
-        self.weights = np.empty((len(names), n_rep, n, k), dtype=np.int64)
-        self.dynamic = []
-        for p, name in enumerate(names):
-            if name == FIXED_ORDER:
-                self.weights[p] = self.priority
-            else:
-                self.dynamic.append((p, name))
+        self.fixed = [p for p, name in enumerate(names) if name == FIXED_ORDER]
+        self.dynamic = [(p, name) for p, name in enumerate(names) if name != FIXED_ORDER]
+        self.weights = {}  # per row count; the fixed rows are filled once
 
     def __call__(self, x: np.ndarray, c: np.ndarray, ranks) -> np.ndarray:
         serv = (x > 0)[..., None] & c
-        w = self.weights
+        w = self.weights.get(serv.shape)
+        if w is None:
+            w = self.weights[serv.shape] = np.empty(serv.shape, dtype=np.int64)
+            w[self.fixed] = self.priority
         for p, name in self.dynamic:
             if name == MWM:
                 w[p] = x[p, :, :, None]
             elif name == GREEDY_LCQ:
                 w[p] = self.priority[_queue_rank(x[p], self.queues)]
             else:
-                rho = _draw_rank(serv[p], ranks, self.offsets)
-                w[p] = self.draw_weight[rho].reshape(w.shape[1:])
-        score = np.where(serv, w, _UNSERVICEABLE).reshape(self.rows, -1)
+                w[p] = self.draw_weight[_draw_rank(serv[p], ranks)].reshape(w.shape[1:])
+        score = np.where(serv, w, _UNSERVICEABLE).reshape(-1, len(self.incidence))
         return self.served[(score @ self.incidence).argmax(axis=1)].reshape(x.shape)
 
 
 class _SplitKernel:
-    """``mwm`` rows by a batched bitmask DP, baseline rows by a greedy pass."""
+    """``mwm`` rows by the batched bitmask DP, baseline rows by a greedy pass."""
 
-    def __init__(self, n: int, k: int, names: Sequence[str], n_rep: int):
+    def __init__(self, n: int, k: int, names: Sequence[str]):
         self.mwm = names.index(MWM) if MWM in names else None
         self.baselines = [(p, name) for p, name in enumerate(names) if name != MWM]
         self.baseline_rows = [p for p, _ in self.baselines]
@@ -224,15 +297,13 @@ class _SplitKernel:
             server_of[:, None] == server_of
         )
         self.servers = np.arange(k)
-        self.offsets = np.arange(n_rep)[:, None] * (n * k)
         self.queues = np.arange(n)
-        self.bits = 1 << self.servers
 
     def __call__(self, x: np.ndarray, c: np.ndarray, ranks) -> np.ndarray:
         serv = (x > 0)[..., None] & c
         served = np.zeros_like(x)
         if self.mwm is not None:
-            served[self.mwm] = self._mwm(x[self.mwm, :, :, None] * c)
+            served[self.mwm] = max_weight_servers(x[self.mwm, :, :, None] * c) >= 0
         if self.baselines:
             keys = np.stack(
                 [self._keys(name, x[p], serv[p], ranks) for p, name in self.baselines]
@@ -244,13 +315,13 @@ class _SplitKernel:
         return served
 
     def _keys(self, name: str, x: np.ndarray, serv: np.ndarray, ranks) -> np.ndarray:
-        """(R, NK) insertion keys of one baseline; smaller goes first."""
+        """(B, NK) insertion keys of one baseline; smaller goes first."""
         if name == FIXED_ORDER:
             return np.broadcast_to(np.arange(self.edges), (len(x), self.edges))
         if name == GREEDY_LCQ:
             key = _queue_rank(x, self.queues)[:, :, None] * len(self.servers)
             return (key + self.servers).reshape(len(x), -1)
-        return _draw_rank(serv, ranks, self.offsets)
+        return _draw_rank(serv, ranks)
 
     def _greedy(self, keys: np.ndarray) -> np.ndarray:
         """Service vectors of the greedy maximal matchings by (B, NK) edge keys."""
@@ -263,48 +334,4 @@ class _SplitKernel:
                 break
             served[rows[hit], self.queue_of[e[hit]]] = 1
             keys[self.conflict[e] & hit[:, None]] = self.edges
-        return served
-
-    def _mwm(self, w: np.ndarray) -> np.ndarray:
-        """Service vectors of the canonical optima of the (B, N, K) weights.
-
-        Tail values come from a bitmask DP over (B, 2^K); the matching is
-        rebuilt exactly as ``max_weight_matching`` rebuilds it.
-        """
-        b, n, k = w.shape
-        served = np.zeros((b, n), dtype=np.int64)
-        if k > matching._DP_MAX_COLS:
-            for row, weights in enumerate(w.tolist()):
-                for q, _ in max_weight_matching(weights):
-                    served[row, q] = 1
-            return served
-        # tails[q][:, mask]: best weight of queues q.. on the free servers in
-        # mask. It never falls as mask grows, so a zero weight changes nothing.
-        tails = np.zeros((n + 1, b, 1 << k), dtype=np.int64)
-        nonzero = w.any(axis=0).tolist()
-        for q in range(n - 1, -1, -1):
-            after, best = tails[q + 1], tails[q]
-            best[...] = after
-            for s in range(k):
-                if nonzero[q][s]:
-                    # masks holding server s, next to the same masks without it
-                    free = best.reshape(b, -1, 2, 1 << s)[:, :, 1]
-                    taken = after.reshape(b, -1, 2, 1 << s)[:, :, 0]
-                    np.maximum(free, taken + w[:, q, s, None, None], out=free)
-        rows = np.arange(b)
-        mask = np.full(b, (1 << k) - 1)
-        target = tails[0][:, -1].copy()
-        for q in range(n):
-            live = target > 0
-            if not live.any():
-                break
-            wq = w[:, q]
-            rest = tails[q + 1][rows[:, None], mask[:, None] ^ self.bits]
-            fits = ((mask[:, None] & self.bits) != 0) & (wq > 0) & live[:, None]
-            fits &= wq + rest == target[:, None]
-            pick = fits.any(axis=1)
-            s = fits.argmax(axis=1)
-            served[pick, q] = 1
-            target -= np.where(pick, wq[rows, s], 0)
-            mask ^= np.where(pick, self.bits[s], 0)
         return served

@@ -168,6 +168,54 @@ def max_weight_matching(w: Sequence[Sequence[int]]) -> Matching:
     return tuple(pairs)
 
 
+def max_weight_servers(w: np.ndarray) -> np.ndarray:
+    """``max_weight_matching`` of every row of the (B, N, K) integer weights.
+
+    Returns each queue's server in the row's canonical optimum, or -1 when
+    the queue is unmatched, as a (B, N) array. Tail values come from a
+    bitmask DP over (B, 2^K); the matching is rebuilt exactly as
+    ``max_weight_matching`` rebuilds it. Wider rows are solved one at a time.
+    """
+    b, n, k = w.shape
+    servers = np.full((b, n), -1, dtype=np.int64)
+    if k > _DP_MAX_COLS:
+        for row, weights in enumerate(w.tolist()):
+            for q, s in max_weight_matching(weights):
+                servers[row, q] = s
+        return servers
+    # tails[q][:, mask]: best weight of queues q.. on the free servers in
+    # mask. It never falls as mask grows, so a zero weight changes nothing.
+    tails = np.zeros((n + 1, b, 1 << k), dtype=np.int64)
+    nonzero = w.any(axis=0).tolist()
+    for q in range(n - 1, -1, -1):
+        after, best = tails[q + 1], tails[q]
+        best[...] = after
+        for s in range(k):
+            if nonzero[q][s]:
+                # masks holding server s, next to the same masks without it
+                free = best.reshape(b, -1, 2, 1 << s)[:, :, 1]
+                taken = after.reshape(b, -1, 2, 1 << s)[:, :, 0]
+                np.maximum(free, taken + w[:, q, s, None, None], out=free)
+    rows = np.arange(b)
+    bits = 1 << np.arange(k)
+    mask = np.full(b, (1 << k) - 1)
+    target = tails[0][:, -1].copy()
+    for q in range(n):
+        live = target > 0
+        if not live.any():
+            break
+        wq = w[:, q]
+        rest = tails[q + 1][rows[:, None], mask[:, None] ^ bits]
+        fits = ((mask[:, None] & bits) != 0) & (wq > 0) & live[:, None]
+        fits &= wq + rest == target[:, None]
+        pick = fits.any(axis=1)
+        s = fits.argmax(axis=1)
+        servers[pick, q] = s[pick]
+        target -= np.where(pick, wq[rows, s], 0)
+        mask ^= np.where(pick, bits[s], 0)
+    return servers
+
+
 def _dp_tail_values(rows, n_queues: int, n_servers: int):
     """Exact integer DP: value(row, free_mask) of the best tail matching."""
     size = 1 << n_servers

@@ -360,6 +360,23 @@ class TestSweep:
         ]
         assert lines[-1] == "total violations: 4"
 
+    def test_solver_mismatch_is_reported(self, monkeypatch):
+        solve = balance.max_weight_servers
+
+        def drop_one_pair(w):
+            servers = solve(w)
+            if w.shape[1:] == (2, 2):
+                servers[(w == [[1, 0], [0, 1]]).all(axis=(1, 2)), 1] = -1
+            return servers
+
+        monkeypatch.setattr(balance, "max_weight_servers", drop_one_pair)
+        lines = self._report_without_time(2, 2, 1)
+        assert [line for line in lines if "VIOLATION" in line] == [
+            "  VIOLATION [solver] N=2 K=2 x=(1, 1) c=((1, 0), (0, 1)) solver=((0, 0),)"
+        ]
+        assert "  solver-vs-enumeration mismatches: 1" in lines
+        assert lines[-1] == "total violations: 1"
+
     def test_report_formatting(self):
         report = sweep_lemmas(1, 1, 1)
         text = format_sweep_report(report)

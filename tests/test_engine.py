@@ -1,13 +1,14 @@
 """Lockstep engine against a scalar reference simulator and the weighting fact."""
 
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
 from mwmlab import engine, matching, rng
-from mwmlab.harness import SimConfig, run_experiment, sampled_slots
+from mwmlab.harness import SimConfig, run_experiment, run_replication, sampled_slots
 from mwmlab.matching import enumerate_matchings, matching_weight
 from mwmlab.policies import (
     DETERMINISTIC_DECIDERS,
@@ -176,7 +177,7 @@ def test_both_kernels_decide_like_the_scalar_policies(n, k):
                 expected[p, i, q] = 1
     rows = np.broadcast_to(x, (len(names), *x.shape)).copy()
     for kernel in (engine._TableKernel, engine._SplitKernel):
-        served = kernel(n, k, names, len(x))(rows, c, ranks)
+        served = kernel(n, k, names)(rows, c, ranks)
         assert np.array_equal(served, expected), kernel.__name__
 
 
@@ -233,4 +234,119 @@ def test_memory_stays_bounded_as_the_horizon_grows(monkeypatch):
     short, long = peak(1_000), peak(10_000)
     # only the per-slot occupancy sums, (P, T + 1) int64, grow with the horizon
     growth = len(POLICY_NAMES) * 8 * 9_000
+    assert long - short < growth + (1 << 14), (short, long)
+
+
+def count_kernel_calls(monkeypatch):
+    """A list that gets the row count of every call of either kernel from now on."""
+    calls = []
+    for kernel in (engine._TableKernel, engine._SplitKernel):
+
+        def counted(self, x, *args, _call=kernel.__call__):
+            calls.append(x.shape[0] * x.shape[1])
+            return _call(self, x, *args)
+
+        monkeypatch.setattr(kernel, "__call__", counted)
+    return calls
+
+
+def same_blocks(a, b):
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("occupancy", "sampled", "recorded", "mw_index")
+    )
+
+
+# (_SPECULATIVE_ROWS, _MIN_SEGMENT): one segment a chunk; the most segments,
+# of one slot each; segments of two and of three slots
+SEGMENTINGS = [(1, 32), (1 << 30, 1), (1 << 30, 2), (1 << 30, 3)]
+
+
+@pytest.mark.parametrize("limit", [0, 1 << 30])
+# stable; overloaded although N lambda < min(N, K), so segments still run
+@pytest.mark.parametrize("connect,arrive", [(0.5, 0.2), (0.3, 0.45)])
+def test_segments_do_not_change_the_outputs(limit, connect, arrive, monkeypatch):
+    monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
+    # 96-slot chunks of the 3-replication block: 253 slots span three of
+    # them, and the default 32-slot segments do not divide the last one
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 96 * 3 * 16)
+    horizon = 253
+    cfg = shape_config(
+        4, 2, horizon, params=SystemParams(4, 2, connect, arrive), record_interval=7
+    )
+    single = replace(cfg, replications=1)
+    calls = count_kernel_calls(monkeypatch)
+
+    def outputs():
+        block = engine.simulate(cfg, cfg.policies, range(3), sampled_slots(horizon))
+        return block, run_experiment(cfg), run_replication(single, 0, "random_maximal")
+
+    default = outputs()
+    schedules = {tuple(calls)}
+    for rows, slots in SEGMENTINGS:
+        monkeypatch.setattr(engine, "_SPECULATIVE_ROWS", rows)
+        monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
+        calls.clear()
+        block, *rest = outputs()
+        schedules.add(tuple(calls))
+        assert same_blocks(block, default[0]), (rows, slots)
+        assert rest == list(default[1:]), (rows, slots)
+    # each setting ran the chunks its own way
+    assert len(schedules) == 1 + len(SEGMENTINGS)
+
+
+def test_segments_with_workers_do_not_change_the_outputs(monkeypatch):
+    cfg = shape_config(4, 2, 253, params=SystemParams(4, 2, 0.5, 0.2), replications=4)
+    default = run_experiment(cfg)
+    for rows, slots in SEGMENTINGS:
+        monkeypatch.setattr(engine, "_SPECULATIVE_ROWS", rows)
+        monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
+        assert run_experiment(cfg, max_workers=2) == default, (rows, slots)
+
+
+@pytest.mark.parametrize("arrive", [0.2, 0.45, 0.6])
+def test_segments_cut_kernel_calls_below_one_a_slot(arrive, monkeypatch):
+    cfg = SimConfig(
+        params=SystemParams(4, 2, 0.5, arrive),
+        horizon=5000,
+        replications=2,
+        seed=42,
+        policies=POLICY_NAMES,
+        record_interval=50,
+    )
+    calls = count_kernel_calls(monkeypatch)
+    engine.simulate(cfg, cfg.policies, range(2), sampled_slots(cfg.horizon))
+    speculative = sum(rows > 8 for rows in calls)  # 8 = P R rows a plain step
+    if arrive == 0.2:
+        assert len(calls) < cfg.horizon // 4  # about 450
+    elif arrive == 0.45:
+        # 1.8 mean arrivals a slot keep queues too long for segments started
+        # empty to meet: the first 2048-slot chunk shows it, and the other
+        # chunks run one segment each
+        assert speculative == 128
+    else:
+        # 2.4 mean arrivals a slot against two servers: one segment a chunk
+        assert len(calls) == cfg.horizon and speculative == 0
+
+
+def test_memory_stays_bounded_as_segmented_horizons_grow():
+    # default chunks of 2048 slots, each run in 16 segments of 128
+    def peak(horizon):
+        cfg = SimConfig(
+            params=SystemParams(4, 2, 0.5, 0.2),
+            horizon=horizon,
+            replications=2,
+            seed=42,
+            policies=POLICY_NAMES,
+            record_interval=horizon // 100,
+        )
+        tracemalloc.start()
+        try:
+            engine.simulate(cfg, cfg.policies, range(2), sampled_slots(horizon))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(5_000), peak(20_000)
+    growth = len(POLICY_NAMES) * 8 * 15_000
     assert long - short < growth + (1 << 14), (short, long)

@@ -2,15 +2,18 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mwmlab import matching
 from mwmlab.matching import (
     ENUMERATION_LIMIT,
     enumerate_matchings,
     matching_weight,
     max_weight_matching,
+    max_weight_servers,
     validate_matching,
     weight_matrix,
     _scipy_tail_values,
@@ -127,6 +130,19 @@ class TestMaxWeightMatching:
             tail = _scipy_tail_values(rows, n, k)
             full = (1 << k) - 1
             assert tail(0, full) == brute_force_max_weight(w)
+
+    @pytest.mark.parametrize("dp_cols", [16, 1])
+    def test_batched_solver_returns_each_rows_canonical_optimum(self, dp_cols, monkeypatch):
+        # dp_cols = 1 sends every row with K > 1 to the one-row fallback
+        monkeypatch.setattr(matching, "_DP_MAX_COLS", dp_cols)
+        gen = np.random.default_rng(3)
+        for n, k in [(1, 1), (1, 3), (3, 1), (3, 2), (2, 4), (4, 4), (5, 3)]:
+            w = gen.integers(0, 4, size=(60, n, k)) * (gen.random((60, n, k)) < 0.7)
+            servers = max_weight_servers(w)
+            assert servers.shape == (60, n)
+            for row, s in zip(w.tolist(), servers.tolist()):
+                pairs = tuple((q, j) for q, j in enumerate(s) if j >= 0)
+                assert pairs == brute_force_canonical_optimum(row), row
 
 
 class TestEnumerateMatchings:
