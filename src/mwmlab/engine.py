@@ -176,8 +176,8 @@ def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> i
     x = states.reshape(p, segments * r, n)
     out = hist[1 : segments * length + 1].reshape(segments, length, p, r, n)
     by_segment = states.swapaxes(0, 1)
-    for j, step in enumerate(zip(*(d[:size, : segments * r] for d in draws))):
-        _step(kernel, x, *step)
+    for j in range(min(length, size)):
+        _step(kernel, x, *(d[j, : segments * r] for d in draws))
         out[:, j] = by_segment
     steps = min(length, size)
     reached = 0  # the last repair made hist[:reached + 1] exact
