@@ -39,9 +39,7 @@ Wilson, 1996). Only the number of repair steps depends on where paths meet.
 S is 1, and a chunk runs slot by slot, when the P·R rows already fill a
 speculative batch, when the chunk is shorter than two segments, or when
 N·λ >= min(N, K): then no policy can serve the mean arrivals, the queues
-grow, and segments started empty never coalesce. Near capacity they hardly
-coalesce either, so once a chunk's two passes make more kernel calls than
-three quarters of its slots, the rest of the run goes slot by slot too.
+grow, and segments started empty never coalesce.
 """
 
 from __future__ import annotations
@@ -138,7 +136,7 @@ def simulate(
         draws = [conn.reshape(length, -1, n, k), arrivals]
         if len(streams) > 2:
             draws.append(_draw_ranks(_next_chunk(streams[2], length)))
-        steps = _advance(kernel, hist, draws, size, length)
+        _advance(kernel, hist, draws, size, length)
 
         occupancy[:, first : first + size] = hist[1 : size + 1].sum(axis=(2, 3)).T
         for j, t in enumerate(sampled):
@@ -156,18 +154,15 @@ def simulate(
             weights = (before * served).sum(axis=3)
             mw_index[:, :, lo : lo + slots.size] = weights.transpose(1, 2, 0)
         hist[0] = hist[size]
-        if steps > size * 3 // 4:
-            length = chunk  # the segments hardly coalesce: one a chunk from now on
 
     return Block(occupancy, sampled_states, recorded, mw_index)
 
 
-def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> int:
+def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> None:
     """Fill ``hist[1 : size + 1]`` from the exact ``hist[0]``, ``length`` slots a segment.
 
     ``draws`` are the chunk's connectivities, arrivals and, with
     ``random_maximal``, draw ranks, as ``_next_chunk`` lays them out.
-    Returns the number of kernel calls made.
     """
     p, r, n = hist.shape[1:]
     segments = -(-size // length)
@@ -179,7 +174,6 @@ def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> i
     for j in range(min(length, size)):
         _step(kernel, x, *(d[j, : segments * r] for d in draws))
         out[:, j] = by_segment
-    steps = min(length, size)
     reached = 0  # the last repair made hist[:reached + 1] exact
     for b in range(length, size, length):
         if b < reached or not hist[b].any():
@@ -193,8 +187,6 @@ def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> i
             if np.array_equal(x, hist[reached]):
                 break
             hist[reached] = x
-        steps += reached - b
-    return steps
 
 
 def _step(kernel, x: np.ndarray, conn: np.ndarray, arrivals: np.ndarray, ranks=None):
