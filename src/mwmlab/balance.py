@@ -28,23 +28,12 @@ import numpy as np
 
 from .matching import (
     ENUMERATION_LIMIT,
+    MAX_SERVERS,
     enumerate_matchings,
     matching_table,
     max_weight_servers,
 )
 from .queueing import QueueState, validate_state
-
-REDUCTION = "reduction"
-TRANSPOSITION = "transposition"
-BALANCING_INTERCHANGE = "balancing_interchange"
-
-
-@dataclass(frozen=True)
-class OrderStep:
-    """One-step relation witness; indices are (raised, lowered) for interchanges."""
-
-    kind: str
-    indices: tuple[int, int] | None = None
 
 
 def _check_same_length(x_tilde: Sequence[int], x: Sequence[int]) -> None:
@@ -52,31 +41,6 @@ def _check_same_length(x_tilde: Sequence[int], x: Sequence[int]) -> None:
         raise ValueError(
             f"vectors have different lengths ({len(x_tilde)} vs {len(x)})"
         )
-
-
-def preceq_one(x_tilde: Sequence[int], x: Sequence[int]) -> OrderStep | None:
-    """Check the one-step relation, returning which clause applies.
-
-    Clauses are tried in order: reduction, transposition, balancing
-    interchange. Returns None when none applies.
-    """
-    _check_same_length(x_tilde, x)
-    if all(a <= b for a, b in zip(x_tilde, x)):
-        return OrderStep(REDUCTION)
-    diffs = [i for i in range(len(x)) if x_tilde[i] != x[i]]
-    if len(diffs) != 2:
-        return None
-    n, m = diffs
-    if x_tilde[n] == x[m] and x_tilde[m] == x[n]:
-        return OrderStep(TRANSPOSITION, (n, m))
-    for lo, hi in ((n, m), (m, n)):
-        if (
-            x_tilde[lo] == x[lo] + 1
-            and x_tilde[hi] == x[hi] - 1
-            and x[lo] < x_tilde[lo] <= x_tilde[hi] < x[hi]
-        ):
-            return OrderStep(BALANCING_INTERCHANGE, (lo, hi))
-    return None
 
 
 def preceq_p(x_tilde: Sequence[int], x: Sequence[int]) -> bool:
@@ -182,31 +146,9 @@ def register_cost_function(
 
 # --- balancing server reallocations ---------------------------------------
 
-CONDITION_C1 = "C1"
-CONDITION_C2 = "C2"
-
 # Cells of one sweep block's (instance, matching, matching) arrays; a shape
 # whose single instance is larger runs one instance per block.
 _BLOCK_CELLS = 1 << 13
-
-
-def balancing_condition(
-    x_served: Sequence[int], x_served_new: Sequence[int]
-) -> str | None:
-    """Classify the post-service change: C1, C2, or neither.
-
-    C1: componentwise no larger and strictly smaller somewhere.
-    C2: exactly one balancing interchange apart.
-    """
-    _check_same_length(x_served_new, x_served)
-    if all(a <= b for a, b in zip(x_served_new, x_served)) and any(
-        a < b for a, b in zip(x_served_new, x_served)
-    ):
-        return CONDITION_C1
-    step = preceq_one(x_served_new, x_served)
-    if step is not None and step.kind == BALANCING_INTERCHANGE:
-        return CONDITION_C2
-    return None
 
 
 def _reallocation_kernel(
@@ -224,8 +166,9 @@ def _reallocation_kernel(
     ``i``'s outcome to ``j``'s are counted by products of the service
     vectors, with no (B, M, M, N) array. C1: none rises and some fall. C2:
     exactly one rises, exactly one falls, and in ``i``'s outcome the falling
-    entry exceeds the rising one by at least 2 (``preceq_one``'s interchange
-    clause; its transposition clause needs a gap of exactly 1).
+    entry exceeds the rising one by at least 2, so that the interchange does
+    not overshoot (with a gap of exactly 1 the two outcomes are a
+    transposition, which is neither C1 nor C2).
     """
     matched, server = table
     conn = c[:, np.arange(x.shape[1]), server] * matched  # (B, M, N)
@@ -309,6 +252,8 @@ def sweep_lemmas(max_n: int, max_k: int, max_x: int) -> LemmaSweepReport:
             f"{max_n}x{max_k} exceeds the enumeration limit "
             f"({max_n * max_k} > {ENUMERATION_LIMIT})"
         )
+    if max_k > MAX_SERVERS:
+        raise ValueError(f"max_k must be <= {MAX_SERVERS}, the solver's limit, got {max_k}")
     report = LemmaSweepReport(max_n=max_n, max_k=max_k, max_x=max_x)
     t0 = time.perf_counter()
     for n_queues in range(1, max_n + 1):

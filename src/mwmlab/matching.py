@@ -1,12 +1,14 @@
 """Exact maximum weight bipartite matching between queues and servers.
 
-Weights are exact integers end to end; no floating point enters the primary
-optimizer, so weight ties are detected exactly and broken deterministically.
+One solver, a bitmask DP over a batch of instances in int64, serves the
+CLI, the engine and the sweep. No floating point enters it, so weight ties
+are detected exactly and broken deterministically. A system has at most
+``MAX_SERVERS`` servers, and every matching's weight must fit in int64.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -16,12 +18,11 @@ Matching = tuple[Pair, ...]
 # Feasible sets above this size are too large to enumerate exhaustively.
 ENUMERATION_LIMIT = 25
 
-# Widest instance the column-bitmask DP handles; wider ones fall back to the
-# scipy value engine.
-_DP_MAX_COLS = 16
+# Most servers a system may have: the solver's bitmask DP keeps 2**K tail
+# values per row and queue.
+MAX_SERVERS = 16
 
-# The fallback engine solves in float64, exact only below 2**53.
-_FLOAT_EXACT_LIMIT = 2**53
+_INT64_MAX = 2**63 - 1
 
 
 def validate_weight_matrix(w: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -43,23 +44,6 @@ def validate_weight_matrix(w: Sequence[Sequence[int]]) -> tuple[int, int]:
             if entry < 0:
                 raise ValueError(f"weight [{n}][{k}] = {entry} is negative")
     return n_queues, n_servers
-
-
-def validate_matching(pairs: Iterable[Pair], n_queues: int, n_servers: int) -> Matching:
-    """Canonicalize ``pairs`` to a sorted tuple, enforcing the one-to-one constraints."""
-    canon = tuple(sorted((int(n), int(k)) for n, k in pairs))
-    queues_used: set[int] = set()
-    servers_used: set[int] = set()
-    for n, k in canon:
-        if not (0 <= n < n_queues and 0 <= k < n_servers):
-            raise ValueError(f"pair ({n},{k}) outside a {n_queues}x{n_servers} system")
-        if n in queues_used:
-            raise ValueError(f"queue {n} matched more than once")
-        if k in servers_used:
-            raise ValueError(f"server {k} matched more than once")
-        queues_used.add(n)
-        servers_used.add(k)
-    return canon
 
 
 def enumerate_matchings(n_queues: int, n_servers: int) -> Iterator[Matching]:
@@ -107,29 +91,6 @@ def matching_table(
     return matched, server
 
 
-def weight_matrix(
-    x_prev: Sequence[int], c: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """Edge weights ``x_prev[n] * c[n][k]`` for the slot's assignment problem."""
-    if len(c) != len(x_prev):
-        raise ValueError(
-            f"connectivity has {len(c)} rows for {len(x_prev)} queues"
-        )
-    return [[x_prev[n] * c[n][k] for k in range(len(c[n]))] for n in range(len(x_prev))]
-
-
-def matching_weight(
-    x_prev: Sequence[int], c: Sequence[Sequence[int]], m: Iterable[Pair]
-) -> int:
-    """Total weight ``sum(x_prev[n] * c[n][k])`` over the matched pairs."""
-    n_queues = len(x_prev)
-    if len(c) != n_queues:
-        raise ValueError(f"connectivity has {len(c)} rows for {n_queues} queues")
-    n_servers = len(c[0]) if n_queues else 0
-    canon = validate_matching(m, n_queues, n_servers)
-    return sum(x_prev[n] * c[n][k] for n, k in canon)
-
-
 def max_weight_matching(w: Sequence[Sequence[int]]) -> Matching:
     """Solve the slot assignment problem exactly.
 
@@ -137,52 +98,33 @@ def max_weight_matching(w: Sequence[Sequence[int]]) -> Matching:
     and each server being used at most once. Zero-weight edges are never
     included, so the result is the canonical form of the optimum. Among
     equal-weight optima the result is the lexicographically smallest sorted
-    pair tuple, which makes the solver bit-reproducible.
+    pair tuple, which makes the solver bit-reproducible. This is
+    ``max_weight_servers`` on one row, so every weight sum must fit in int64.
     """
     n_queues, n_servers = validate_weight_matrix(w)
-    rows = [tuple(int(v) for v in row) for row in w]
-
-    if n_servers <= _DP_MAX_COLS:
-        tail = _dp_tail_values(rows, n_queues, n_servers)
-    else:
-        tail = _scipy_tail_values(rows, n_queues, n_servers)
-
-    full = (1 << n_servers) - 1
-    target = tail(0, full)
-    pairs: list[Pair] = []
-    mask = full
-    for n in range(n_queues):
-        if target == 0:
-            break
-        wr = rows[n]
-        for k in range(n_servers):
-            bit = 1 << k
-            wk = wr[k]
-            if (mask & bit) and wk > 0 and wk + tail(n + 1, mask ^ bit) == target:
-                # Matching this queue now is always lexicographically smaller
-                # than any continuation that leaves it unmatched.
-                pairs.append((n, k))
-                mask ^= bit
-                target -= wk
-                break
-    return tuple(pairs)
+    top = max(int(v) for row in w for v in row)
+    if top * min(n_queues, n_servers) > _INT64_MAX:
+        raise ValueError(
+            f"weights too large: the largest entry {top} times min(N, K) = "
+            f"{min(n_queues, n_servers)} exceeds 2**63 - 1"
+        )
+    servers = max_weight_servers(np.array(w, dtype=np.int64)[None])[0].tolist()
+    return tuple((q, s) for q, s in enumerate(servers) if s >= 0)
 
 
 def max_weight_servers(w: np.ndarray) -> np.ndarray:
-    """``max_weight_matching`` of every row of the (B, N, K) integer weights.
+    """The canonical optimum of every row of the (B, N, K) integer weights.
 
     Returns each queue's server in the row's canonical optimum, or -1 when
     the queue is unmatched, as a (B, N) array. Tail values come from a
-    bitmask DP over (B, 2^K); the matching is rebuilt exactly as
-    ``max_weight_matching`` rebuilds it. Wider rows are solved one at a time.
+    bitmask DP over (B, 2^K). The matching is rebuilt queue by queue, each
+    taking the lowest free server that still reaches the optimum, which
+    gives the lexicographically smallest optimum with no zero-weight edge.
     """
     b, n, k = w.shape
+    if k > MAX_SERVERS:
+        raise ValueError(f"n_servers must be <= {MAX_SERVERS}, the solver's limit, got {k}")
     servers = np.full((b, n), -1, dtype=np.int64)
-    if k > _DP_MAX_COLS:
-        for row, weights in enumerate(w.tolist()):
-            for q, s in max_weight_matching(weights):
-                servers[row, q] = s
-        return servers
     # tails[q][:, mask]: best weight of queues q.. on the free servers in
     # mask. It never falls as mask grows, so a zero weight changes nothing.
     tails = np.zeros((n + 1, b, 1 << k), dtype=np.int64)
@@ -214,54 +156,3 @@ def max_weight_servers(w: np.ndarray) -> np.ndarray:
         target -= np.where(pick, wq[rows, s], 0)
         mask ^= np.where(pick, bits[s], 0)
     return servers
-
-
-def _dp_tail_values(rows, n_queues: int, n_servers: int):
-    """Exact integer DP: value(row, free_mask) of the best tail matching."""
-    size = 1 << n_servers
-    tails = [[0] * size for _ in range(n_queues + 1)]
-    for row in range(n_queues - 1, -1, -1):
-        wr = rows[row]
-        nxt = tails[row + 1]
-        cur = tails[row]
-        for mask in range(size):
-            best = nxt[mask]
-            rem = mask
-            while rem:
-                bit = rem & -rem
-                wk = wr[bit.bit_length() - 1]
-                if wk:
-                    v = wk + nxt[mask ^ bit]
-                    if v > best:
-                        best = v
-                rem ^= bit
-            cur[mask] = best
-    return lambda row, mask: tails[row][mask]
-
-
-def _scipy_tail_values(rows, n_queues: int, n_servers: int):
-    """Tail values via scipy's assignment solver, memoized per (row, mask)."""
-    from scipy.optimize import linear_sum_assignment
-
-    top = max(max(row) for row in rows)
-    if top * min(n_queues, n_servers) >= _FLOAT_EXACT_LIMIT:
-        raise ValueError("weights too large for the wide-instance solver")
-    arr = np.array(rows, dtype=np.int64)
-    memo: dict[tuple[int, int], int] = {}
-
-    def tail(row: int, mask: int) -> int:
-        key = (row, mask)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        cols = [k for k in range(n_servers) if mask & (1 << k)]
-        if row == n_queues or not cols:
-            val = 0
-        else:
-            sub = arr[row:, cols]
-            ri, ci = linear_sum_assignment(sub, maximize=True)
-            val = int(sub[ri, ci].sum())
-        memo[key] = val
-        return val
-
-    return tail

@@ -57,20 +57,6 @@ def slot_stream(
     return Generator(bitgen)
 
 
-def path_uniforms(
-    seed: int, replication: int, kind: int, horizon: int, values_per_slot: int
-) -> np.ndarray:
-    """Uniforms for slots 1..horizon of a stream, shape (horizon, values_per_slot).
-
-    Row t-1 is bit-identical to what ``slot_stream(..., t, values_per_slot)``
-    would produce, because each slot's draws are padded out to whole counter
-    blocks.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least one slot")
-    return next(slot_chunks(seed, replication, kind, values_per_slot, horizon))
-
-
 def slot_chunks(
     seed: int, replication: int, kind: int, values_per_slot: int, chunk: int
 ) -> Iterator[np.ndarray]:

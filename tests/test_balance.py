@@ -4,8 +4,8 @@ The independent oracle for the transitive closure is a breadth-first search
 over the one-step moves, checked against the closed-form ``preceq_p`` on
 every small pair. The sweep's reallocation kernel and its backward search
 from the optima are checked, one instance at a time, against two oracles:
-the scalar ``balancing_condition`` and ``matching_weight`` on every ordered
-pair of matchings, and a forward breadth-first search from each matching.
+the scalar ``balancing_condition`` and ``matching_weight`` of
+``reference`` on every ordered pair of matchings, and a forward breadth-first search from each matching.
 """
 
 import random
@@ -15,18 +15,23 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mwmlab import balance
-from mwmlab.balance import (
+from reference import (
     BALANCING_INTERCHANGE,
     CONDITION_C1,
     CONDITION_C2,
-    COST_FUNCTIONS,
     REDUCTION,
     TRANSPOSITION,
     balancing_condition,
+    matching_weight,
+    preceq_one,
+    serve,
+)
+
+from mwmlab import balance
+from mwmlab.balance import (
+    COST_FUNCTIONS,
     format_sweep_report,
     max_queue,
-    preceq_one,
     preceq_p,
     reachable_below,
     register_cost_function,
@@ -36,8 +41,7 @@ from mwmlab.balance import (
     verify_monotone_on_pairs,
     weakly_submajorized,
 )
-from mwmlab.matching import enumerate_matchings, matching_table, matching_weight
-from mwmlab.queueing import serve
+from mwmlab.matching import enumerate_matchings, matching_table
 
 # x = (1, 5), c = ((1, 1), (1, 0)) and the matching that serves queue 0 by
 # server 0: both its reallocations are found by hand, and one reaches the
@@ -318,10 +322,11 @@ class TestSweep:
         assert report.reallocation_pairs > 0
 
     @pytest.mark.parametrize(
-        "ranges", [(0, 1, 1), (1, 0, 1), (1, 1, -1), (26, 1, 0), (5, 6, 0)]
+        "ranges", [(0, 1, 1), (1, 0, 1), (1, 1, -1), (26, 1, 0), (5, 6, 0), (1, 17, 0)]
     )
     def test_empty_ranges_rejected(self, ranges):
-        # the last two exceed the enumeration limit and fail before any work
+        # (26, 1, 0) and (5, 6, 0) exceed the enumeration limit and (1, 17, 0)
+        # the solver's 16 servers; all fail before any work
         with pytest.raises(ValueError):
             sweep_lemmas(*ranges)
 

@@ -200,6 +200,26 @@ class TestSolveMatching:
         code, out, err = run_cli(["solve-matching", str(tmp_path / "no.txt")], capsys)
         assert code == 2
 
+    def test_more_than_16_servers_is_an_error(self, capsys, tmp_path):
+        f = tmp_path / "w.txt"
+        f.write_text("1 17\n" + " ".join(["1"] * 17) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["solve-matching", str(f)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "solver's limit" in err
+
+    def test_weights_past_int64_are_an_error(self, capsys, tmp_path):
+        f = tmp_path / "w.txt"
+        top = (2**63 - 1) // 2
+        f.write_text(f"2 2\n{top} {top}\n{top} 1\n", encoding="utf-8")
+        code, out, err = run_cli(["solve-matching", str(f)], capsys)
+        assert code == 0
+        assert out.strip() == f"pairs (0,1),(1,0) weight {2 * top}"
+        for big in (top + 1, 10**30):
+            f.write_text(f"2 2\n{top} {top}\n{big} 1\n", encoding="utf-8")
+            code, out, err = run_cli(["solve-matching", str(f)], capsys)
+            assert code == 2
+            assert err.startswith("error: weights too large") and "2**63 - 1" in err
+
 
 class TestVerifyLemmas:
     def test_tiny_sweep_exit_zero(self, capsys, tmp_path):
@@ -230,6 +250,14 @@ class TestVerifyLemmas:
         )
         assert code == 2
         assert err.startswith("error: ") and "enumeration limit" in err
+        assert "instances checked" not in out
+
+    def test_more_than_16_servers_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            ["verify-lemmas", "--max-n", "1", "--max-k", "17", "--max-x", "0"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: max_k must be <= 16")
         assert "instances checked" not in out
 
     def test_unwritable_out_is_an_error(self, capsys, tmp_path):
@@ -352,6 +380,15 @@ class TestAuditOrder:
 
 
 class TestSimulateFiles:
+    def test_more_than_16_servers_fail_before_the_out_dir(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        flags = dict(zip(SIM_FLAGS[::2], SIM_FLAGS[1::2]), **{"--servers": "17"})
+        argv = [item for pair in flags.items() for item in pair]
+        code, out, err = run_cli(["simulate", *argv, "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert err.startswith("error: n_servers must be <= 16")
+        assert not out_dir.exists()
+
     def test_out_dir_under_a_regular_file_is_an_error(self, capsys, tmp_path):
         (tmp_path / "file").write_text("", encoding="utf-8")
         out_dir = tmp_path / "file" / "out"
@@ -456,10 +493,11 @@ class TestClosedStdout:
         assert texts[0] == texts[1]
 
 
-# Runs commands after `import mwmlab.cli` and prints their exit codes and the
-# numpy and scipy modules they imported.
+# Runs commands after `import mwmlab.cli`, with scipy made unimportable, and
+# prints their exit codes and the numpy and scipy modules they imported.
 _COMMAND_IMPORTS_PROBE = """
 import contextlib, io, json, sys
+sys.modules["scipy"] = None
 import mwmlab.cli
 before = set(sys.modules)
 codes = []

@@ -7,15 +7,20 @@ from itertools import product
 import numpy as np
 import pytest
 
+from reference import (
+    DETERMINISTIC_DECIDERS,
+    SamplePath,
+    matching_weight,
+    path_uniforms,
+    random_maximal_from_uniforms,
+    serve,
+)
+
 from mwmlab import engine, matching, rng
 from mwmlab.harness import SimConfig, run_experiment, run_replication, sampled_slots
-from mwmlab.matching import enumerate_matchings, matching_weight
-from mwmlab.policies import (
-    DETERMINISTIC_DECIDERS,
-    POLICY_NAMES,
-    random_maximal_from_uniforms,
-)
-from mwmlab.queueing import SamplePath, SystemParams, serve
+from mwmlab.matching import enumerate_matchings
+from mwmlab.policies import POLICY_NAMES
+from mwmlab.queueing import SystemParams
 
 
 def reference_run(config, policy, replication):
@@ -23,7 +28,7 @@ def reference_run(config, policy, replication):
     params = config.params
     n, k = params.n_queues, params.n_servers
     path = SamplePath(params, config.seed, replication, config.horizon)
-    draws = rng.path_uniforms(
+    draws = path_uniforms(
         config.seed, replication, rng.STREAM_POLICY, config.horizon, n * k
     )
     x = config.start_state()
@@ -89,16 +94,6 @@ def test_engine_matches_scalar_reference(n, k, horizon, monkeypatch):
                 ]
                 occupancy += [sum(x) for x in states]
             assert block.occupancy[i].tolist() == occupancy.tolist()
-
-
-def test_wide_fallback_solver_matches_the_dp(monkeypatch):
-    cfg = shape_config(3, 4, 60)
-    names = ("mwm",)
-    dp = engine.simulate(cfg, names, range(2), ()).recorded
-    monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", 0)
-    monkeypatch.setattr(matching, "_DP_MAX_COLS", 2)
-    solver = engine.simulate(cfg, names, range(2), ()).recorded
-    assert np.array_equal(dp, solver)
 
 
 def _instances(n, k, max_x):

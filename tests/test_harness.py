@@ -23,10 +23,15 @@ from mwmlab.harness import (
     trace_csv_lines,
     write_lines,
 )
-from mwmlab.queueing import SystemParams, serve
+from mwmlab.queueing import SystemParams
 from mwmlab import engine, harness
-from mwmlab import policies as pol
 from mwmlab import rng
+from reference import (
+    DETERMINISTIC_DECIDERS,
+    matching_weight,
+    random_maximal_from_uniforms,
+    serve,
+)
 from test_balance import bfs_lower_set
 
 
@@ -137,11 +142,9 @@ class TestRunReplication:
                 a = tuple(int(v) for v in (u_a.random(n) < cfg.params.arrival_prob).tolist())
                 if policy == "random_maximal":
                     gen = rng.slot_stream(cfg.seed, 2, rng.STREAM_POLICY, t, n * k)
-                    m = pol.random_maximal_from_uniforms(x, c, gen.random(n * k))
+                    m = random_maximal_from_uniforms(x, c, gen.random(n * k))
                 else:
-                    m = pol.DETERMINISTIC_DECIDERS[policy](x, c)
-                from mwmlab.matching import matching_weight
-
+                    m = DETERMINISTIC_DECIDERS[policy](x, c)
                 mw = matching_weight(x, c, m)
                 x = tuple(s + ai for s, ai in zip(serve(x, c, m), a))
                 rec = records[t - 1]

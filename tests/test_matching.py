@@ -1,23 +1,23 @@
-"""Solver checks against the exhaustive enumeration oracle."""
+"""Solver checks against the exhaustive enumeration oracle and the scalar reference DP."""
 
 import random
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import matching_weight, validate_matching, weight_matrix
 
-from mwmlab import matching
 from mwmlab.matching import (
     ENUMERATION_LIMIT,
+    MAX_SERVERS,
     enumerate_matchings,
-    matching_weight,
     max_weight_matching,
     max_weight_servers,
-    validate_matching,
-    weight_matrix,
-    _scipy_tail_values,
 )
+
+INT64_MAX = 2**63 - 1
 
 
 def brute_force_max_weight(w):
@@ -85,12 +85,12 @@ class TestMaxWeightMatching:
 
     @given(weights_strategy())
     def test_weight_matches_enumeration_oracle(self, w):
-        m = max_weight_matching(w)
+        m = reference.max_weight_matching(w)
         assert sum(w[q][s] for q, s in m) == brute_force_max_weight(w)
 
     @given(weights_strategy(max_dim=3, max_entry=3))
     def test_canonical_form_matches_oracle_exactly(self, w):
-        assert max_weight_matching(w) == brute_force_canonical_optimum(w)
+        assert reference.max_weight_matching(w) == brute_force_canonical_optimum(w)
 
     @given(weights_strategy())
     def test_output_satisfies_matching_invariants(self, w):
@@ -111,30 +111,38 @@ class TestMaxWeightMatching:
         with pytest.raises(ValueError):
             max_weight_matching([[1.5]])
 
-    def test_wide_instance_uses_fallback_engine(self):
-        # 17 servers exceeds the bitmask DP width; pairing (0,16) with (1,2)
-        # beats giving server 16 to queue 1
+    def test_more_than_max_servers_rejected(self):
+        assert MAX_SERVERS == 16
         w = [[0] * 17 for _ in range(2)]
-        w[0][16] = 3
         w[1][16] = 5
-        w[1][2] = 4
-        assert max_weight_matching(w) == ((0, 16), (1, 2))
+        with pytest.raises(ValueError, match="solver's limit"):
+            max_weight_matching(w)
+        with pytest.raises(ValueError, match="solver's limit"):
+            max_weight_servers(np.zeros((3, 1, 17), dtype=np.int64))
 
-    def test_fallback_engine_agrees_with_dp(self):
-        rnd = random.Random(7)
-        for _ in range(50):
-            n = rnd.randint(1, 4)
-            k = rnd.randint(1, 4)
-            w = [[rnd.randint(0, 5) for _ in range(k)] for _ in range(n)]
-            rows = [tuple(r) for r in w]
-            tail = _scipy_tail_values(rows, n, k)
-            full = (1 << k) - 1
-            assert tail(0, full) == brute_force_max_weight(w)
+    def test_weight_sums_past_int64_rejected(self):
+        # the largest entry times min(N, K) bounds every sum the DP forms
+        top = INT64_MAX // 2
+        square = [[top, top], [top, top]]
+        assert max_weight_matching(square) == ((0, 0), (1, 1))
+        square[1][0] = top + 1
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            max_weight_matching(square)
+        assert max_weight_matching([[INT64_MAX], [INT64_MAX], [1]]) == ((0, 0),)
+        for w in ([[INT64_MAX, 1]] * 2, [[2**64]], [[1e30]]):
+            with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+                max_weight_matching(w)
 
-    @pytest.mark.parametrize("dp_cols", [16, 1])
-    def test_batched_solver_returns_each_rows_canonical_optimum(self, dp_cols, monkeypatch):
-        # dp_cols = 1 sends every row with K > 1 to the one-row fallback
-        monkeypatch.setattr(matching, "_DP_MAX_COLS", dp_cols)
+    def test_agrees_with_reference_at_the_int64_bound(self):
+        rnd = random.Random(11)
+        for _ in range(300):
+            n, k = rnd.randint(1, 4), rnd.randint(1, 4)
+            top = INT64_MAX // min(n, k)
+            w = [[rnd.choice((0, top, top - 1, top - rnd.randint(2, 9)))
+                  for _ in range(k)] for _ in range(n)]
+            assert max_weight_matching(w) == reference.max_weight_matching(w), w
+
+    def test_batched_solver_returns_each_rows_canonical_optimum(self):
         gen = np.random.default_rng(3)
         for n, k in [(1, 1), (1, 3), (3, 1), (3, 2), (2, 4), (4, 4), (5, 3)]:
             w = gen.integers(0, 4, size=(60, n, k)) * (gen.random((60, n, k)) < 0.7)
@@ -143,6 +151,9 @@ class TestMaxWeightMatching:
             for row, s in zip(w.tolist(), servers.tolist()):
                 pairs = tuple((q, j) for q, j in enumerate(s) if j >= 0)
                 assert pairs == brute_force_canonical_optimum(row), row
+        # one row at the widest supported system, through the one-row call
+        w = gen.integers(0, 6, size=(3, MAX_SERVERS)) * (gen.random((3, MAX_SERVERS)) < 0.3)
+        assert max_weight_matching(w.tolist()) == reference.max_weight_matching(w.tolist())
 
 
 class TestEnumerateMatchings:

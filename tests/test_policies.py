@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mwmlab import rng
-from mwmlab.matching import matching_weight, validate_matching
-from mwmlab.policies import (
+from reference import (
     DETERMINISTIC_DECIDERS,
-    POLICY_NAMES,
     decide_fixed_order,
     decide_greedy_lcq,
     decide_mwm,
+    matching_weight,
     random_maximal_from_uniforms,
+    validate_matching,
 )
+
+from mwmlab import rng
+from mwmlab.policies import POLICY_NAMES
 
 
 def policy_gen(slot: int, n_values: int = 8, seed: int = 123):

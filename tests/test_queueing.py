@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import SamplePath, serve
+
 from mwmlab import rng
 from mwmlab.matching import enumerate_matchings
-from mwmlab.queueing import (
-    SamplePath,
-    SystemParams,
-    serve,
-    validate_state,
-)
+from mwmlab.queueing import SystemParams, validate_state
 
 
 def step(x, c, a, m):
@@ -29,6 +26,7 @@ class TestSystemParams:
         [
             dict(n_queues=0, n_servers=1, connect_prob=0.5, arrival_prob=0.5),
             dict(n_queues=1, n_servers=0, connect_prob=0.5, arrival_prob=0.5),
+            dict(n_queues=1, n_servers=17, connect_prob=0.5, arrival_prob=0.5),
             dict(n_queues=1, n_servers=1, connect_prob=-0.1, arrival_prob=0.5),
             dict(n_queues=1, n_servers=1, connect_prob=1.1, arrival_prob=0.5),
             dict(n_queues=1, n_servers=1, connect_prob=0.5, arrival_prob=-0.5),

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from reference import path_uniforms
 
 from mwmlab import rng
 
 
 def test_slot_stream_matches_path_rows():
     for values in (1, 3, 4, 7, 8):
-        block = rng.path_uniforms(7, 2, rng.STREAM_CONNECTIVITY, 6, values)
+        block = path_uniforms(7, 2, rng.STREAM_CONNECTIVITY, 6, values)
         assert block.shape == (6, values)
         for t in (1, 3, 6):
             gen = rng.slot_stream(7, 2, rng.STREAM_CONNECTIVITY, t, values)
@@ -17,7 +18,7 @@ def test_slot_stream_matches_path_rows():
 
 def test_slot_chunks_continue_the_path():
     for values, chunk in ((3, 1), (8, 4), (5, 7), (6, 40)):
-        block = rng.path_uniforms(7, 2, rng.STREAM_POLICY, 20, values)
+        block = path_uniforms(7, 2, rng.STREAM_POLICY, 20, values)
         chunks = rng.slot_chunks(7, 2, rng.STREAM_POLICY, values, chunk)
         pieces = [next(chunks) for _ in range(-(-20 // chunk))]
         assert all(p.shape == (chunk, values) for p in pieces)
@@ -34,16 +35,16 @@ def test_slot_positions_are_independent_of_consumption_order():
 
 
 def test_streams_differ_by_kind_replication_and_seed():
-    base = rng.path_uniforms(3, 1, rng.STREAM_CONNECTIVITY, 4, 8)
-    assert not np.array_equal(base, rng.path_uniforms(3, 1, rng.STREAM_ARRIVALS, 4, 8))
-    assert not np.array_equal(base, rng.path_uniforms(3, 1, rng.STREAM_POLICY, 4, 8))
-    assert not np.array_equal(base, rng.path_uniforms(3, 2, rng.STREAM_CONNECTIVITY, 4, 8))
-    assert not np.array_equal(base, rng.path_uniforms(4, 1, rng.STREAM_CONNECTIVITY, 4, 8))
+    base = path_uniforms(3, 1, rng.STREAM_CONNECTIVITY, 4, 8)
+    assert not np.array_equal(base, path_uniforms(3, 1, rng.STREAM_ARRIVALS, 4, 8))
+    assert not np.array_equal(base, path_uniforms(3, 1, rng.STREAM_POLICY, 4, 8))
+    assert not np.array_equal(base, path_uniforms(3, 2, rng.STREAM_CONNECTIVITY, 4, 8))
+    assert not np.array_equal(base, path_uniforms(4, 1, rng.STREAM_CONNECTIVITY, 4, 8))
 
 
 def test_negative_seeds_wrap_into_key_space():
-    a = rng.path_uniforms(-1, 0, rng.STREAM_POLICY, 2, 4)
-    b = rng.path_uniforms((1 << 64) - 1, 0, rng.STREAM_POLICY, 2, 4)
+    a = path_uniforms(-1, 0, rng.STREAM_POLICY, 2, 4)
+    b = path_uniforms((1 << 64) - 1, 0, rng.STREAM_POLICY, 2, 4)
     assert np.array_equal(a, b)
 
 
@@ -65,4 +66,4 @@ def test_guards():
     with pytest.raises(ValueError):
         rng.stream_key(0, 0, 9)
     with pytest.raises(ValueError):
-        rng.path_uniforms(0, 0, rng.STREAM_POLICY, 0, 4)
+        path_uniforms(0, 0, rng.STREAM_POLICY, 0, 4)
