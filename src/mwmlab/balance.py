@@ -19,10 +19,10 @@ optimum, and that chained reallocations reach the optimum.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -36,29 +36,18 @@ from .matching import (
 from .queueing import QueueState, validate_state
 
 
-def _check_same_length(x_tilde: Sequence[int], x: Sequence[int]) -> None:
-    if len(x_tilde) != len(x):
-        raise ValueError(
-            f"vectors have different lengths ({len(x_tilde)} vs {len(x)})"
-        )
-
-
 def preceq_p(x_tilde: Sequence[int], x: Sequence[int]) -> bool:
     """Whether ``x_tilde`` is below ``x`` in the transitive closure.
 
     The closure is weak submajorization (MOA 5.A.9): with both vectors
     sorted in decreasing order, every prefix sum of ``x_tilde`` is at most
-    the matching prefix sum of ``x``.
+    the matching prefix sum of ``x``. This is ``weakly_submajorized`` on
+    one row of Python integers, so entries past int64 stay exact.
     """
-    _check_same_length(x_tilde, x)
-    lower = sorted(validate_state(x_tilde), reverse=True)
-    upper = sorted(validate_state(x), reverse=True)
-    run = 0
-    for a, b in zip(lower, upper):
-        run += b - a
-        if run < 0:
-            return False
-    return True
+    if len(x_tilde) != len(x):
+        raise ValueError(f"vectors have different lengths ({len(x_tilde)} vs {len(x)})")
+    lower, upper = (np.array(validate_state(v), dtype=object) for v in (x_tilde, x))
+    return bool(weakly_submajorized(lower, upper))
 
 
 def weakly_submajorized(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -75,9 +64,8 @@ def reachable_below(x: Sequence[int]) -> set[QueueState]:
     ``[0..max(x)]^N`` that passes ``preceq_p``.
     """
     top = validate_state(x)
-    return {
-        v for v in product(range(max(top) + 1), repeat=len(top)) if preceq_p(v, top)
-    }
+    box = np.indices((max(top) + 1,) * len(top)).reshape(len(top), -1).T
+    return set(map(tuple, box[weakly_submajorized(box, np.array(top))].tolist()))
 
 
 # --- cost functions -------------------------------------------------------
@@ -96,7 +84,7 @@ def sum_of_squares(x: Sequence[int]) -> int:
 
 
 def verify_monotone_on_pairs(
-    fn: Callable[[Sequence[int]], float],
+    fn: Callable[[Sequence[int]], int],
     pairs: Iterable[tuple[QueueState, QueueState]],
 ) -> list[tuple[QueueState, QueueState]]:
     """Violations of ``fn(below) <= fn(above)`` over ordered pairs; empty means pass."""
@@ -113,29 +101,34 @@ def default_monotonicity_pairs() -> list[tuple[QueueState, QueueState]]:
     return pairs
 
 
-COST_FUNCTIONS: dict[str, Callable[[Sequence[int]], float]] = {
+COST_FUNCTIONS: dict[str, Callable[[Sequence[int]], int]] = {
     "total_occupancy": total_occupancy,
     "max_queue": max_queue,
     "sum_of_squares": sum_of_squares,
 }
 
 
-def register_cost_function(
-    name: str,
-    fn: Callable[[Sequence[int]], float],
-    pairs: Iterable[tuple[QueueState, QueueState]] | None = None,
-) -> None:
-    """Register a cost function after checking monotonicity on ordered pairs.
+def register_cost_function(name: str, fn: Callable[[Sequence[int]], int]) -> None:
+    """Register a cost function after checking it on a fixed sample of ordered pairs.
 
-    Only functions that never decrease when moving up the order may be
-    registered; the check runs on ``pairs`` (default: a fixed generated
-    sample) and a single violation rejects the candidate. The functions
-    monotone in this order are the increasing Schur-convex ones (MOA 3.A.8);
-    ``total_occupancy``, ``max_queue`` and ``sum_of_squares`` are all in
-    that class.
+    Only integer-valued functions that never decrease when moving up the
+    order may be registered: the thresholds ``r`` of the tail probabilities
+    are integers, and the report counts costs in int64. A single value that
+    ``operator.index`` refuses, or a single violation of monotonicity,
+    rejects the candidate. The functions monotone in this order are the
+    increasing Schur-convex ones (MOA 3.A.8); ``total_occupancy``,
+    ``max_queue`` and ``sum_of_squares`` are all in that class.
     """
-    check = list(pairs) if pairs is not None else default_monotonicity_pairs()
-    bad = verify_monotone_on_pairs(fn, check)
+    pairs = default_monotonicity_pairs()
+    for state in dict.fromkeys(v for pair in pairs for v in pair):
+        value = fn(state)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(
+                f"{name} must return integers: f({state}) = {value!r}"
+            ) from None
+    bad = verify_monotone_on_pairs(fn, pairs)
     if bad:
         lo, hi = bad[0]
         raise ValueError(

@@ -139,9 +139,7 @@ def _parse_config_file(path: str, table: dict) -> dict[str, str]:
     return values
 
 
-def build_sim_config(
-    args: argparse.Namespace, echo=_emit
-) -> tuple[harness.SimConfig, dict[str, object]]:
+def build_sim_config(args: argparse.Namespace) -> tuple[harness.SimConfig, dict[str, object]]:
     """The validated SimConfig of a ``simulate`` or ``audit-order`` command.
 
     File values are overridden by flags, each applied default is echoed, and
@@ -164,7 +162,7 @@ def build_sim_config(
     for key, (parse, default, _) in table.items():
         if key not in raw:
             raw[key] = default(values) if callable(default) else default
-            echo(f"default applied: {key} = {raw[key]}")
+            _emit(f"default applied: {key} = {raw[key]}")
         values[key] = parse(key, raw[key])
     config = harness.SimConfig(
         params=SystemParams(

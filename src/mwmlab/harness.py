@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -86,6 +86,16 @@ class SimConfig:
                 raise ValueError(
                     "initial queue lengths plus the horizon must stay below 2**48"
                 )
+        # Every reachable state lies componentwise below this corner, so a
+        # registered (monotone) cost is largest there; the report counts in int64.
+        top = max(self.start_state()) + self.horizon
+        for name in self.cost_functions:
+            value = COST_FUNCTIONS[name]((top,) * self.params.n_queues)
+            if value > 2**63 - 1:
+                raise ValueError(
+                    f"cost function {name} reaches {value} > 2**63 - 1 with every "
+                    f"queue at {top} (initial state plus horizon)"
+                )
 
     def start_state(self) -> QueueState:
         if self.initial_state is None:
@@ -148,12 +158,6 @@ class DominanceReport:
     mean_occupancy: dict[str, tuple[float, ...]]
     stability: dict[str, StabilityCheck]
     violations: tuple[DominanceViolation, ...]
-
-    def ccdf(self, cost: str) -> Iterator[tuple[int, int, str, float, float, float]]:
-        """Rows (slot, threshold, policy, ccdf, ci_low, ci_high) of one cost, from the counts."""
-        points = itertools.product(self.sampled_slots, range(self.thresholds[cost]), self.policies)
-        for point, k in zip(points, self.counts[cost]):
-            yield (*point, k / self.replications, *self.intervals[k])
 
 
 def sampled_slots(horizon: int) -> tuple[int, ...]:
@@ -253,29 +257,16 @@ def run_experiment(
     return report, records
 
 
-def clopper_pearson(successes: int, trials: int, level: float = CONFIDENCE_LEVEL):
-    """Two-sided exact binomial confidence interval for a proportion.
+def clopper_pearson_table(trials: int) -> tuple[tuple[float, float], ...]:
+    """Two-sided exact binomial confidence intervals for k = 0..trials successes.
 
-    With k = successes and q = (1 - level) / 2, the lower bound p solves
+    With q = (1 - CONFIDENCE_LEVEL) / 2, the lower bound p at k solves
     P(Bin(trials, p) >= k) = q and the upper bound solves
     P(Bin(trials, p) <= k) = q. The upper bound at k is one minus the lower
-    bound at trials - k. Both come from a root s = log p of the lower-bound
-    equation, as exp(s) and -expm1(s), so each keeps its relative accuracy
-    near 0 and near 1.
+    bound at trials - k, so each root s = log p of the lower-bound equation
+    is solved once and gives both, as exp(s) and -expm1(s); each keeps its
+    relative accuracy near 0 and near 1.
     """
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in 0..trials")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    log_q = math.log((1.0 - level) / 2)
-    return (
-        math.exp(_log_lower_bound(successes, trials, log_q)),
-        -math.expm1(_log_lower_bound(trials - successes, trials, log_q)),
-    )
-
-
-def _interval_table(trials: int) -> tuple[tuple[float, float], ...]:
-    """``clopper_pearson(k, trials)`` for k = 0..trials, solving each root once."""
     log_q = math.log((1.0 - CONFIDENCE_LEVEL) / 2)
     roots = [_log_lower_bound(k, trials, log_q) for k in range(trials + 1)]
     return tuple(
@@ -379,7 +370,7 @@ def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
     }
 
     # the success count k of any point lies in 0..reps
-    intervals = _interval_table(reps)
+    intervals = clopper_pearson_table(reps)
     lows, highs = np.array(intervals).T
     mwm = config.policies.index(policies.MWM)
     thresholds: dict[str, int] = {}

@@ -24,6 +24,11 @@ MAX_SERVERS = 16
 
 _INT64_MAX = 2**63 - 1
 
+# Cells of the (N + 1, rows, 2^K) tail table that one block of rows may use,
+# 1 MiB of int64; a row larger than that (K >= 15) is a block of its own.
+# The engine's widest calls, at N = K = 8, are about 24 rows x 9 x 256 cells.
+_TAIL_CELLS = 1 << 17
+
 
 def validate_weight_matrix(w: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Check shape and entry constraints, returning ``(n_queues, n_servers)``."""
@@ -125,6 +130,16 @@ def max_weight_servers(w: np.ndarray) -> np.ndarray:
     if k > MAX_SERVERS:
         raise ValueError(f"n_servers must be <= {MAX_SERVERS}, the solver's limit, got {k}")
     servers = np.full((b, n), -1, dtype=np.int64)
+    # rows are independent, so a block of them at a time bounds the tail table
+    block = max(1, _TAIL_CELLS // ((n + 1) << k))
+    for first in range(0, b, block):
+        _solve_rows(w[first : first + block], servers[first : first + block])
+    return servers
+
+
+def _solve_rows(w: np.ndarray, servers: np.ndarray) -> None:
+    """Write the canonical optimum of each row of ``w`` into ``servers``."""
+    b, n, k = w.shape
     # tails[q][:, mask]: best weight of queues q.. on the free servers in
     # mask. It never falls as mask grows, so a zero weight changes nothing.
     tails = np.zeros((n + 1, b, 1 << k), dtype=np.int64)
@@ -155,4 +170,3 @@ def max_weight_servers(w: np.ndarray) -> np.ndarray:
         servers[pick, q] = s[pick]
         target -= np.where(pick, wq[rows, s], 0)
         mask ^= np.where(pick, bits[s], 0)
-    return servers

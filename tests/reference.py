@@ -3,10 +3,11 @@
 Everything here works one instance and one slot at a time on Python
 integers: the exact solver as a bitmask DP with its canonical
 reconstruction, the per-slot deciders of the four policies, the service
-update, whole sample paths read from the stream layout, and the C1/C2
+update, whole sample paths read from the stream layout, the C1/C2
 classifier of balancing reallocations with the one-step order relation it
-rests on. None of it calls ``mwmlab``'s solver, engine or sweep kernel, so
-those are compared against independent code.
+rests on, and the prefix-sum test of that order's closure. None of it
+calls ``mwmlab``'s solver, engine, sweep kernel or order kernel, so those
+are compared against independent code.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from mwmlab import rng
-from mwmlab.balance import _check_same_length
 from mwmlab.matching import Matching, Pair, validate_weight_matrix
 from mwmlab.policies import FIXED_ORDER, GREEDY_LCQ, MWM
-from mwmlab.queueing import QueueState, SystemParams
+from mwmlab.queueing import QueueState, SystemParams, validate_state
 
 # --- matching -------------------------------------------------------------
 
@@ -300,6 +300,31 @@ BALANCING_INTERCHANGE = "balancing_interchange"
 
 CONDITION_C1 = "C1"
 CONDITION_C2 = "C2"
+
+
+def _check_same_length(x_tilde: Sequence[int], x: Sequence[int]) -> None:
+    if len(x_tilde) != len(x):
+        raise ValueError(
+            f"vectors have different lengths ({len(x_tilde)} vs {len(x)})"
+        )
+
+
+def preceq_p(x_tilde: Sequence[int], x: Sequence[int]) -> bool:
+    """Whether ``x_tilde`` is below ``x`` in the transitive closure.
+
+    The closure is weak submajorization (MOA 5.A.9): with both vectors
+    sorted in decreasing order, every prefix sum of ``x_tilde`` is at most
+    the matching prefix sum of ``x``.
+    """
+    _check_same_length(x_tilde, x)
+    lower = sorted(validate_state(x_tilde), reverse=True)
+    upper = sorted(validate_state(x), reverse=True)
+    run = 0
+    for a, b in zip(lower, upper):
+        run += b - a
+        if run < 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Partial-order and reallocation verifier tests.
 
 The independent oracle for the transitive closure is a breadth-first search
-over the one-step moves, checked against the closed-form ``preceq_p`` on
-every small pair. The sweep's reallocation kernel and its backward search
+over the one-step moves, checked against the closed-form order kernel on
+every small pair; the kernel is also checked against the scalar prefix-sum
+loop ``reference.preceq_p``. The sweep's reallocation kernel and its backward search
 from the optima are checked, one instance at a time, against two oracles:
 the scalar ``balancing_condition`` and ``matching_weight`` of
 ``reference`` on every ordered pair of matchings, and a forward breadth-first search from each matching.
@@ -15,6 +16,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import reference
 from reference import (
     BALANCING_INTERCHANGE,
     CONDITION_C1,
@@ -193,6 +195,14 @@ class TestPreceqP:
         with pytest.raises(ValueError):
             preceq_p((1,), (1, 2))
 
+    def test_exact_past_int64(self):
+        # as float64 both pairs would tie at 2**63 and pass
+        assert not preceq_p((0, 2**63), (2**63 - 1, 0))
+        assert not preceq_p((1, 2**63), (2**63, 0))
+        assert preceq_p((2**63, 1), (2**63 + 1, 0))
+        assert preceq_p((2**70, 2**70), (2**71, 0))
+        assert not preceq_p((2**70, 2**70 + 1), (2**71, 0))
+
     def test_rejects_non_queue_vectors(self):
         with pytest.raises(ValueError):
             preceq_p((1.5,), (1,))
@@ -209,9 +219,9 @@ class TestPreceqP:
             for above in vectors:
                 lower_set = bfs_lower_set(above)
                 assert reachable_below(above) == lower_set
-                for below in vectors:
-                    assert preceq_p(below, above) == (below in lower_set)
-                    pairs += 1
+                below = weakly_submajorized(np.array(vectors), np.array(above))
+                assert below.tolist() == [v in lower_set for v in vectors]
+                pairs += len(vectors)
         assert pairs == 364_375
 
     def test_vector_test_agrees_with_scalar_order(self):
@@ -222,7 +232,7 @@ class TestPreceqP:
             upper = np.tile(vectors, (len(vectors), 1))
             below = weakly_submajorized(lower, upper)
             assert below.tolist() == [
-                preceq_p(a, b) for a, b in zip(lower.tolist(), upper.tolist())
+                reference.preceq_p(a, b) for a, b in zip(lower.tolist(), upper.tolist())
             ]
         # leading axes are kept: (R, T, N) states give (R, T) verdicts
         rnd = np.random.default_rng(5)
@@ -230,7 +240,9 @@ class TestPreceqP:
         verdicts = weakly_submajorized(lower, upper)
         assert verdicts.shape == (3, 7)
         for r, t in product(range(3), range(7)):
-            assert verdicts[r, t] == preceq_p(lower[r, t].tolist(), upper[r, t].tolist())
+            assert verdicts[r, t] == reference.preceq_p(
+                lower[r, t].tolist(), upper[r, t].tolist()
+            )
 
     def test_transitivity_on_random_triples(self):
         rnd = random.Random(2024)
@@ -268,6 +280,12 @@ class TestCostFunctions:
         with pytest.raises(ValueError):
             register_cost_function("negated_total", lambda x: -sum(x))
         assert "negated_total" not in COST_FUNCTIONS
+
+    def test_non_integer_candidate_rejected(self):
+        for fn in (lambda x: sum(x) / 2, lambda x: float(sum(x)), lambda x: None):
+            with pytest.raises(ValueError, match="half_total must return integers"):
+                register_cost_function("half_total", fn)
+        assert "half_total" not in COST_FUNCTIONS
 
     def test_monotone_candidate_registers_and_unregisters(self):
         register_cost_function("second_moment_copy", sum_of_squares)

@@ -151,7 +151,7 @@ COMMAND_OF = {"desk_scale.cfg": "simulate", "order_audit.cfg": "audit-order"}
 
 def load_config(path):
     args = cli.build_parser().parse_args([COMMAND_OF[path.name], "--config", str(path)])
-    return cli.build_sim_config(args, echo=lambda _: None)
+    return cli.build_sim_config(args)
 
 
 class TestShippedConfigs:
@@ -387,6 +387,20 @@ class TestSimulateFiles:
         code, out, err = run_cli(["simulate", *argv, "--out-dir", str(out_dir)], capsys)
         assert code == 2
         assert err.startswith("error: n_servers must be <= 16")
+        assert not out_dir.exists()
+
+    def test_cost_past_int64_fails_before_the_out_dir(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", "--queues", "2", "--servers", "1", "--p", "0.5",
+             "--lambda", "0.2", "--horizon", "4", "--replications", "2",
+             "--cost", "sum_of_squares", "--initial-state", "4000000000,0",
+             "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: cost function sum_of_squares reaches ")
+        assert "2**63 - 1" in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_out_dir_under_a_regular_file_is_an_error(self, capsys, tmp_path):

@@ -1,6 +1,8 @@
-"""The package's export list."""
+"""The package's export list, and the public names the scalar reference uses."""
 
+import ast
 import types
+from pathlib import Path
 
 import mwmlab
 
@@ -13,3 +15,17 @@ def test_all_is_sorted_and_names_every_public_object():
     }
     assert mwmlab.__all__ == sorted(set(mwmlab.__all__))
     assert set(mwmlab.__all__) == public
+
+
+def test_reference_imports_no_private_name():
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    from_package = [name for name in names if name.split(".")[0] == "mwmlab"]
+    assert from_package
+    private = [n for n in from_package if any(p.startswith("_") for p in n.split("."))]
+    assert private == []

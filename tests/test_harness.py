@@ -1,5 +1,6 @@
 """Coupled simulation and dominance aggregation contracts."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from mwmlab.harness import (
     CONFIDENCE_LEVEL,
     DominanceViolation,
     SimConfig,
-    clopper_pearson,
+    clopper_pearson_table,
     dominance_csv_lines,
     format_audit_report,
     format_dominance_summary,
@@ -33,6 +34,15 @@ from reference import (
     serve,
 )
 from test_balance import bfs_lower_set
+
+
+def ccdf_rows(report, cost):
+    """Rows (slot, threshold, policy, ccdf, ci_low, ci_high) of one cost, from the counts."""
+    points = itertools.product(
+        report.sampled_slots, range(report.thresholds[cost]), report.policies
+    )
+    for point, k in zip(points, report.counts[cost]):
+        yield (*point, k / report.replications, *report.intervals[k])
 
 
 def make_config(**overrides):
@@ -72,6 +82,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="2\\*\\*48"):
             make_config(initial_state=(2**48 - 64, 0, 0))
         make_config(initial_state=(2**48 - 65, 0, 0))
+
+    def test_costs_must_fit_int64(self):
+        # every queue can reach its start plus the horizon; 3 * m**2 fits, 3 * (m + 1)**2 not
+        m = math.isqrt((2**63 - 1) // 3)
+        squares = ("total_occupancy", "sum_of_squares")
+        make_config(cost_functions=squares, initial_state=(m - 64, 0, 0))
+        with pytest.raises(ValueError, match="sum_of_squares reaches .* > 2\\*\\*63 - 1"):
+            make_config(cost_functions=squares, initial_state=(m - 63, 0, 0))
+        with pytest.raises(ValueError, match="sum_of_squares"):
+            make_config(cost_functions=squares, horizon=m + 1)
 
     def test_start_state(self):
         assert make_config().start_state() == (0, 0, 0)
@@ -212,7 +232,7 @@ class TestCoupledCompare:
         report = run_experiment(cfg)[0]
         for cost in cfg.cost_functions:
             series = {}
-            for slot, r, policy, ccdf, lo, hi in report.ccdf(cost):
+            for slot, r, policy, ccdf, lo, hi in ccdf_rows(report, cost):
                 assert 0.0 <= lo <= ccdf <= hi <= 1.0
                 series.setdefault((slot, policy), []).append((r, ccdf))
             for points in series.values():
@@ -222,8 +242,9 @@ class TestCoupledCompare:
     def test_ccdf_counts_match_records(self):
         cfg = make_config(horizon=16, replications=7, record_interval=1)
         report, records = run_experiment(cfg)
+        intervals = clopper_pearson_table(cfg.replications)
         for cost_idx, cost in enumerate(cfg.cost_functions):
-            for slot, r, policy, ccdf, lo, hi in report.ccdf(cost):
+            for slot, r, policy, ccdf, lo, hi in ccdf_rows(report, cost):
                 vals = [
                     rec.costs[cost_idx]
                     for rec in records
@@ -231,7 +252,7 @@ class TestCoupledCompare:
                 ]
                 k = sum(v > r for v in vals)
                 assert ccdf == k / cfg.replications
-                assert (lo, hi) == clopper_pearson(k, cfg.replications)
+                assert (lo, hi) == intervals[k]
 
     def test_mean_costs_match_records(self):
         cfg = make_config(horizon=16, replications=5, record_interval=1,
@@ -269,6 +290,7 @@ class TestCoupledCompare:
         report = harness._build_report(cfg, sampled, occ_sums, values)
 
         reps = cfg.replications
+        intervals = clopper_pearson_table(reps)
         expected = []
         for cost in cfg.cost_functions:
             pooled = sorted(int(v) for p in cfg.policies for v in values[p][cost].ravel())
@@ -279,9 +301,9 @@ class TestCoupledCompare:
                         p: sum(int(v) > r for v in values[p][cost][:, slot_idx])
                         for p in cfg.policies
                     }
-                    mwm_lo = clopper_pearson(k["mwm"], reps)[0]
+                    mwm_lo = intervals[k["mwm"]][0]
                     for p in cfg.policies:
-                        hi = clopper_pearson(k[p], reps)[1]
+                        hi = intervals[k[p]][1]
                         if mwm_lo > hi:
                             expected.append(DominanceViolation(
                                 cost, slot, r, p, k["mwm"] / reps, k[p] / reps, mwm_lo, hi,
@@ -322,24 +344,15 @@ class TestCoupledCompare:
 
 class TestClopperPearson:
     def test_extremes(self):
-        lo, hi = clopper_pearson(0, 20)
+        lo, hi = clopper_pearson_table(20)[0]
         assert lo == 0.0 and 0 < hi < 1
-        lo, hi = clopper_pearson(20, 20)
+        lo, hi = clopper_pearson_table(20)[20]
         assert 0 < lo < 1 and hi == 1.0
 
     def test_contains_point_estimate(self):
-        for k, n in [(1, 10), (5, 10), (9, 10), (3, 7)]:
-            lo, hi = clopper_pearson(k, n)
-            assert lo <= k / n <= hi
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            clopper_pearson(5, 4)
-
-    def test_rejects_bad_level(self):
-        for level in (0.0, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                clopper_pearson(1, 4, level)
+        for n in (1, 3, 7, 10):
+            for k, (lo, hi) in enumerate(clopper_pearson_table(n)):
+                assert lo <= k / n <= hi
 
     def test_exact_tail_brackets_bounds(self):
         # exact rationals: the tail equation changes sign within a relative
@@ -347,8 +360,7 @@ class TestClopperPearson:
         q = (1 - Fraction(CONFIDENCE_LEVEL)) / 2
         below, above = 1 - Fraction(1, 10**13), 1 + Fraction(1, 10**13)
         for n in range(1, 41):
-            for k in range(n + 1):
-                lo, hi = clopper_pearson(k, n)
+            for k, (lo, hi) in enumerate(clopper_pearson_table(n)):
                 if k == 0:
                     assert lo == 0.0
                 else:
@@ -364,29 +376,24 @@ class TestClopperPearson:
     def test_matches_scipy(self):
         q = (1.0 - CONFIDENCE_LEVEL) / 2
         for n in (1, 2, 10, 40, 200, 1000):
+            table = clopper_pearson_table(n)
             ks = np.arange(1, n + 1)
             lows = betaincinv(ks, n - ks + 1, q)
             highs = betaincinv(n - ks + 1, ks, 1 - q)  # upper bound at n - k
             for k, lo, hi in zip(ks.tolist(), lows.tolist(), highs.tolist()):
-                assert clopper_pearson(k, n)[0] == pytest.approx(lo, rel=1e-12)
-                assert clopper_pearson(n - k, n)[1] == pytest.approx(hi, rel=1e-12)
-
-    def test_interval_table_is_clopper_pearson_bit_for_bit(self):
-        for n in (1, 2, 3, 10, 199, 200):
-            table = harness._interval_table(n)
-            assert table == tuple(clopper_pearson(k, n) for k in range(n + 1))
+                assert table[k][0] == pytest.approx(lo, rel=1e-12)
+                assert table[n - k][1] == pytest.approx(hi, rel=1e-12)
 
     def test_closed_form_ends(self):
         q = (1.0 - CONFIDENCE_LEVEL) / 2
         for n in (1, 2, 7, 40, 1000):
-            assert clopper_pearson(n, n)[0] == pytest.approx(q ** (1 / n), rel=1e-15)
-            assert clopper_pearson(0, n)[1] == pytest.approx(
-                -math.expm1(math.log(q) / n), rel=1e-15
-            )
+            table = clopper_pearson_table(n)
+            assert table[n][0] == pytest.approx(q ** (1 / n), rel=1e-15)
+            assert table[0][1] == pytest.approx(-math.expm1(math.log(q) / n), rel=1e-15)
 
     def test_monotone_and_symmetric(self):
         for n in (1, 2, 5, 40, 200):
-            bounds = [clopper_pearson(k, n) for k in range(n + 1)]
+            bounds = clopper_pearson_table(n)
             lows, highs = zip(*bounds)
             assert all(a < b for a, b in zip(lows, lows[1:]))
             assert all(a < b for a, b in zip(highs, highs[1:]))
@@ -482,6 +489,7 @@ class TestCsvShapes:
         )
         report, records = run_experiment(cfg)
         reps = cfg.replications
+        intervals = clopper_pearson_table(reps)
 
         trace = ["replication,slot,policy,cost_name,cost_value,mw_index,x_0,x_1,x_2,x_3"]
         for rec in records:
@@ -505,7 +513,7 @@ class TestCsvShapes:
                 for r in range(r_max + 1):
                     for p in cfg.policies:
                         k = sum(v > r for v in at[slot, p])
-                        lo, hi = clopper_pearson(k, reps)
+                        lo, hi = intervals[k]
                         rows.append(f"{slot},{r},{p},{k / reps!r},{lo!r},{hi!r}")
             expected[f"dominance_{cost}.csv"] = rows
 

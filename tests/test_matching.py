@@ -1,6 +1,7 @@
 """Solver checks against the exhaustive enumeration oracle and the scalar reference DP."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ class TestMaxWeightMatching:
         # one row at the widest supported system, through the one-row call
         w = gen.integers(0, 6, size=(3, MAX_SERVERS)) * (gen.random((3, MAX_SERVERS)) < 0.3)
         assert max_weight_matching(w.tolist()) == reference.max_weight_matching(w.tolist())
+
+
+    def test_memory_does_not_grow_with_rows_at_max_servers(self):
+        gen = np.random.default_rng(4)
+        w = gen.integers(0, 50, size=(16, 2, MAX_SERVERS))
+        peaks = []
+        for rows in (1, 16):
+            tracemalloc.start()
+            servers = max_weight_servers(w[:rows])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # one row's 3 x 2^16 tail table is 1.5 MiB; 16 rows at once would need 24
+        assert peaks[1] < 1.5 * peaks[0] < 4 * 2**20
+        assert servers.tolist() == [max_weight_servers(row[None])[0].tolist() for row in w]
 
 
 class TestEnumerateMatchings:
