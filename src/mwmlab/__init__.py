@@ -20,7 +20,6 @@ from .harness import (
     TraceRecord,
     per_slot_preceq_audit,
     run_experiment,
-    run_replication,
 )
 from .matching import enumerate_matchings, max_weight_matching
 from .policies import POLICY_NAMES
@@ -43,7 +42,6 @@ __all__ = [
     "reachable_below",
     "register_cost_function",
     "run_experiment",
-    "run_replication",
     "sweep_lemmas",
     "total_occupancy",
 ]

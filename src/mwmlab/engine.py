@@ -40,6 +40,10 @@ S is 1, and a chunk runs slot by slot, when the P·R rows already fill a
 speculative batch, when the chunk is shorter than two segments, or when
 N·λ >= min(N, K): then no policy can serve the mean arrivals, the queues
 grow, and segments started empty never coalesce.
+
+Each chunk's draws are (slots, R, values) in slot order: step j of segment
+s reads slot s L + j. A block keeps the states and matching weights at the
+slots its caller names, so each reader asks for the slots it needs.
 """
 
 from __future__ import annotations
@@ -80,15 +84,13 @@ class Block:
     """What a block of replications did under every simulated policy.
 
     ``occupancy`` is (P, T + 1), total occupancy summed over the block's
-    replications. ``sampled`` is (P, R, S, N), the states at the S sampled
-    slots. ``recorded`` is (P, R, n_rec, N) and ``mw_index`` (P, R, n_rec),
-    the states and the chosen matching's weight x_n c_nk at every
-    ``record_interval``-th slot.
+    replications. ``states`` is (P, R, S, N) and ``mw_index`` (P, R, S), the
+    states after the S slots the caller kept and the weight x_n c_nk of the
+    matching chosen at each of them.
     """
 
     occupancy: np.ndarray
-    sampled: np.ndarray
-    recorded: np.ndarray
+    states: np.ndarray
     mw_index: np.ndarray
 
 
@@ -96,12 +98,16 @@ def simulate(
     config,
     names: Sequence[str],
     replications: range,
-    sampled: Sequence[int],
+    slots: Sequence[int],
 ) -> Block:
-    """Advance ``replications`` of a ``harness.SimConfig`` under each of ``names``."""
+    """Advance ``replications`` of a ``harness.SimConfig`` under each of ``names``.
+
+    ``slots`` are the increasing 1-based slots whose states and matching
+    weights the block keeps.
+    """
     params = config.params
     n, k = params.n_queues, params.n_servers
-    horizon, interval = config.horizon, config.record_interval
+    horizon = config.horizon
     shape = (len(names), len(replications), n)
     kernel = _kernel(n, k, names)
 
@@ -125,54 +131,50 @@ def simulate(
     hist[0] = config.start_state()
     occupancy = np.empty((shape[0], horizon + 1), dtype=np.int64)
     occupancy[:, 0] = hist[0].sum(axis=(1, 2))
-    sampled_states = np.empty((*shape[:2], len(sampled), n), dtype=np.int64)
-    recorded = np.empty((*shape[:2], horizon // interval, n), dtype=np.int64)
-    mw_index = np.empty(recorded.shape[:3], dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.int64)
+    states = np.empty((*shape[:2], len(slots), n), dtype=np.int64)
+    mw_index = np.empty(states.shape[:3], dtype=np.int64)
 
     for first in range(1, horizon + 1, chunk):
         size = min(chunk, horizon + 1 - first)
-        conn = _next_chunk(streams[0], length) < params.connect_prob
-        arrivals = _next_chunk(streams[1], length) < params.arrival_prob
-        draws = [conn.reshape(length, -1, n, k), arrivals]
+        conn = _next_chunk(streams[0]) < params.connect_prob
+        arrivals = _next_chunk(streams[1]) < params.arrival_prob
+        draws = [conn.reshape(chunk, -1, n, k), arrivals]
         if len(streams) > 2:
-            draws.append(_draw_ranks(_next_chunk(streams[2], length)))
+            draws.append(_draw_ranks(_next_chunk(streams[2])))
         _advance(kernel, hist, draws, size, length)
 
         occupancy[:, first : first + size] = hist[1 : size + 1].sum(axis=(2, 3)).T
-        for j, t in enumerate(sampled):
-            if first <= t < first + size:
-                sampled_states[:, :, j] = hist[t - first + 1]
-        slots = np.arange(-(-first // interval) * interval, first + size, interval)
-        if slots.size:
-            pos = slots - first + 1
+        lo, hi = np.searchsorted(slots, [first, first + size])
+        if lo < hi:
+            pos = slots[lo:hi] - first + 1
             before = hist[pos - 1]
-            segment, step = divmod(pos - 1, length)
-            slot_arrivals = arrivals.reshape(length, chunk // length, -1, n)[step, segment]
-            served = before + slot_arrivals[:, None] - hist[pos]
-            lo = slots[0] // interval - 1
-            recorded[:, :, lo : lo + slots.size] = hist[pos].transpose(1, 2, 0, 3)
-            weights = (before * served).sum(axis=3)
-            mw_index[:, :, lo : lo + slots.size] = weights.transpose(1, 2, 0)
+            served = before + arrivals[pos - 1, None] - hist[pos]
+            states[:, :, lo:hi] = hist[pos].transpose(1, 2, 0, 3)
+            mw_index[:, :, lo:hi] = (before * served).sum(axis=3).transpose(1, 2, 0)
         hist[0] = hist[size]
 
-    return Block(occupancy, sampled_states, recorded, mw_index)
+    return Block(occupancy, states, mw_index)
 
 
 def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> None:
     """Fill ``hist[1 : size + 1]`` from the exact ``hist[0]``, ``length`` slots a segment.
 
     ``draws`` are the chunk's connectivities, arrivals and, with
-    ``random_maximal``, draw ranks, as ``_next_chunk`` lays them out.
+    ``random_maximal``, draw ranks, each (slots, R, ...) as ``_next_chunk``
+    lays them out.
     """
     p, r, n = hist.shape[1:]
     segments = -(-size // length)
+    span = segments * length
     states = np.zeros((p, segments, r, n), dtype=np.int64)
     states[:, 0] = hist[0]
     x = states.reshape(p, segments * r, n)
-    out = hist[1 : segments * length + 1].reshape(segments, length, p, r, n)
+    out = hist[1 : span + 1].reshape(segments, length, p, r, n)
     by_segment = states.swapaxes(0, 1)
     for j in range(min(length, size)):
-        _step(kernel, x, *(d[j, : segments * r] for d in draws))
+        # step j of every segment, as rows s R + r
+        _step(kernel, x, *(d[j:span:length].reshape(-1, *d.shape[2:]) for d in draws))
         out[:, j] = by_segment
     reached = 0  # the last repair made hist[:reached + 1] exact
     for b in range(length, size, length):
@@ -181,8 +183,7 @@ def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> N
         x = hist[b].copy()
         reached = b
         while reached < size:
-            segment, j = divmod(reached, length)
-            _step(kernel, x, *(d[j, segment * r : segment * r + r] for d in draws))
+            _step(kernel, x, *(d[reached] for d in draws))
             reached += 1
             if np.array_equal(x, hist[reached]):
                 break
@@ -195,16 +196,9 @@ def _step(kernel, x: np.ndarray, conn: np.ndarray, arrivals: np.ndarray, ranks=N
     x += arrivals
 
 
-def _next_chunk(streams, length: int) -> np.ndarray:
-    """The next chunk of one stream kind, in segments of ``length`` slots.
-
-    The shape is (length, S R, values): slot s ``length`` + j of the r-th
-    replication sits at [j, s R + r], so row j holds step j of every segment.
-    """
-    chunks = [next(s) for s in streams]
-    segments, values = len(chunks[0]) // length, chunks[0].shape[1]
-    steps = [c.reshape(segments, length, values).swapaxes(0, 1) for c in chunks]
-    return np.stack(steps, axis=2).reshape(length, -1, values)
+def _next_chunk(streams) -> np.ndarray:
+    """The next chunk of one stream kind, (slots, R, values) in slot order."""
+    return np.stack([next(s) for s in streams], axis=1)
 
 
 def _draw_ranks(u: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +54,6 @@ class SimConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.replications > rng.REPLICATION_LIMIT:
             raise ValueError("replication count exceeds the stream key space")
-        if not self.policies:
-            raise ValueError("at least one policy is required")
         for name in self.policies:
             if name not in policies.POLICY_NAMES:
                 raise ValueError(
@@ -63,6 +61,8 @@ class SimConfig:
                 )
         if len(set(self.policies)) != len(self.policies):
             raise ValueError("policies must be unique")
+        if policies.MWM not in self.policies:
+            raise ValueError("the coupled comparison needs the mwm policy included")
         if not self.cost_functions:
             raise ValueError("at least one cost function is required")
         for name in self.cost_functions:
@@ -71,6 +71,8 @@ class SimConfig:
                     f"unknown cost function {name!r}; registered: "
                     f"{tuple(sorted(COST_FUNCTIONS))}"
                 )
+        if len(set(self.cost_functions)) != len(self.cost_functions):
+            raise ValueError("cost functions must be unique")
         if self.record_interval < 1:
             raise ValueError(
                 f"record_interval must be >= 1, got {self.record_interval}"
@@ -172,40 +174,31 @@ def sampled_slots(horizon: int) -> tuple[int, ...]:
     return tuple(slots)
 
 
+def _record_slots(config: SimConfig) -> range:
+    """The slots of the trace: every ``record_interval``-th slot."""
+    return range(config.record_interval, config.horizon + 1, config.record_interval)
+
+
 def _trace_records(
-    config: SimConfig, names: Sequence[str], replications: range, block: engine.Block
+    config: SimConfig, replications: range, block: engine.Block, columns: np.ndarray
 ) -> list[TraceRecord]:
-    """A block's trace records, by replication, then policy, then slot."""
-    interval = config.record_interval
-    slots = range(interval, config.horizon + 1, interval)
+    """A block's trace records, by replication, then policy, then slot.
+
+    ``columns`` index the record slots among the slots the block kept.
+    """
+    slots = _record_slots(config)
     cost_fns = [COST_FUNCTIONS[name] for name in config.cost_functions]
-    states = block.recorded.tolist()
-    mw_index = block.mw_index.tolist()
+    states = block.states[:, :, columns].tolist()
+    mw_index = block.mw_index[:, :, columns].tolist()
     records = []
     for i, r in enumerate(replications):
-        for p, policy in enumerate(names):
+        for p, policy in enumerate(config.policies):
             for t, x, mw in zip(slots, states[p][i], mw_index[p][i]):
                 x = tuple(x)
                 records.append(
                     TraceRecord(r, t, policy, x, mw, tuple(fn(x) for fn in cost_fns))
                 )
     return records
-
-
-def run_replication(
-    config: SimConfig, replication: int, policy: str
-) -> list[TraceRecord]:
-    """Trace one policy through one replication of the shared sample path."""
-    if policy not in policies.POLICY_NAMES:
-        raise ValueError(f"unknown policy {policy!r}")
-    replications = range(replication, replication + 1)
-    block = engine.simulate(config, (policy,), replications, ())
-    return _trace_records(config, (policy,), replications, block)
-
-
-def _simulate_block(args: tuple[SimConfig, range, tuple[int, ...]]) -> engine.Block:
-    config, replications, sampled = args
-    return engine.simulate(config, config.policies, replications, sampled)
 
 
 def run_experiment(
@@ -216,24 +209,26 @@ def run_experiment(
     Replications are independent work units; aggregation always reduces in
     replication order, so the result is identical for any worker count.
     """
-    if policies.MWM not in config.policies:
-        raise ValueError("the coupled comparison needs the mwm policy included")
     sampled = sampled_slots(config.horizon)
+    recorded = _record_slots(config)
+    kept = sorted({*sampled, *recorded})
+    at_sampled = np.searchsorted(kept, sampled)
+    at_recorded = np.searchsorted(kept, recorded)
     # contiguous blocks of replications, one per worker, reduced in order
     reps = config.replications
     workers = max(1, min(max_workers, reps))
     blocks = [
         range(reps * w // workers, reps * (w + 1) // workers) for w in range(workers)
     ]
-    tasks = [(config, block, sampled) for block in blocks]
+    args = [config] * workers, [config.policies] * workers, blocks, [kept] * workers
     if workers > 1:
         # imported here: the process machinery costs every command start-up time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_block, tasks))
+            results = list(pool.map(engine.simulate, *args))
     else:
-        results = [_simulate_block(t) for t in tasks]
+        results = list(map(engine.simulate, *args))
 
     cost_fns = [COST_FUNCTIONS[name] for name in config.cost_functions]
     occ_sums = {}
@@ -244,14 +239,15 @@ def run_experiment(
     }
     records: list[TraceRecord] = []
     for block, result in zip(blocks, results):
+        sampled_states = result.states[:, :, at_sampled].tolist()
         for i, p in enumerate(config.policies):
             occ_sums[p] = occ_sums.get(p, 0) + result.occupancy[i]
-            states = [[tuple(x) for x in rep] for rep in result.sampled[i].tolist()]
+            states = [[tuple(x) for x in rep] for rep in sampled_states[i]]
             for c, fn in zip(config.cost_functions, cost_fns):
                 values[p][c][block.start : block.stop] = [
                     [fn(x) for x in rep] for rep in states
                 ]
-        records.extend(_trace_records(config, config.policies, block, result))
+        records.extend(_trace_records(config, block, result, at_recorded))
 
     report = _build_report(config, sampled, occ_sums, values)
     return report, records
@@ -465,14 +461,14 @@ def per_slot_preceq_audit(config: SimConfig, baseline: str) -> PreceqAuditReport
     names = tuple(dict.fromkeys((policies.MWM, baseline)))
     n = config.params.n_queues
     horizon = config.horizon
-    # every slot's state is recorded, so blocks of replications bound the memory
+    # every slot's state is kept, so blocks of replications bound the memory
     size = max(1, _AUDIT_BLOCK_CELLS // (len(names) * (horizon + 1) * n))
-    every_slot = replace(config, record_interval=1)
+    every_slot = range(1, horizon + 1)
     holding = 0
     failures = []
     for first in range(0, config.replications, size):
         block = range(first, min(first + size, config.replications))
-        states = engine.simulate(every_slot, names, block, ()).recorded
+        states = engine.simulate(config, names, block, every_slot).states
         below = weakly_submajorized(states[0], states[-1])
         holding += int(below.sum())
         for r, t in zip(*np.nonzero(~below)):

@@ -168,11 +168,12 @@ def test_criterion_6_degenerate_exactness():
         policies=("mwm", "random_maximal", "greedy_lcq", "fixed_order"),
         record_interval=1,
     )
-    block = engine.simulate(full, full.policies, range(full.replications), ())
+    every_slot = range(1, full.horizon + 1)
+    block = engine.simulate(full, full.policies, range(full.replications), every_slot)
     collapse_ok = True
     for r in range(full.replications):
         trajectories = [
-            block.recorded[p, r].tolist() for p in range(len(full.policies))
+            block.states[p, r].tolist() for p in range(len(full.policies))
         ]
         collapse_ok = collapse_ok and all(t == trajectories[0] for t in trajectories)
 

@@ -403,6 +403,31 @@ class TestSimulateFiles:
         assert "2**63 - 1" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_policies_without_mwm_fail_before_the_out_dir(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", "--queues", "2", "--servers", "1", "--p", "0.5",
+             "--lambda", "0.2", "--horizon", "5", "--replications", "2",
+             "--policy", "fixed_order", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: the coupled comparison needs the mwm policy included\n"
+        assert "simulate:" not in out
+        assert not out_dir.exists()
+
+    def test_repeated_cost_fails_before_the_out_dir(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, "--cost", "total_occupancy",
+             "--cost", "total_occupancy", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: cost functions must be unique\n"
+        assert "simulate:" not in out
+        assert not out_dir.exists()
+
     def test_out_dir_under_a_regular_file_is_an_error(self, capsys, tmp_path):
         (tmp_path / "file").write_text("", encoding="utf-8")
         out_dir = tmp_path / "file" / "out"

@@ -1,7 +1,6 @@
 """Lockstep engine against a scalar reference simulator and the weighting fact."""
 
 import tracemalloc
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -17,7 +16,7 @@ from reference import (
 )
 
 from mwmlab import engine, matching, rng
-from mwmlab.harness import SimConfig, run_experiment, run_replication, sampled_slots
+from mwmlab.harness import SimConfig, run_experiment, sampled_slots
 from mwmlab.matching import enumerate_matchings
 from mwmlab.policies import POLICY_NAMES
 from mwmlab.queueing import SystemParams
@@ -62,6 +61,20 @@ def shape_config(n, k, horizon, **overrides):
     return SimConfig(**base)
 
 
+def experiment_slots(cfg):
+    """The slots ``run_experiment`` keeps: the sampled and the recorded ones."""
+    recorded = range(cfg.record_interval, cfg.horizon + 1, cfg.record_interval)
+    return sorted({*sampled_slots(cfg.horizon), *recorded})
+
+
+# (_SPECULATIVE_ROWS, _MIN_SEGMENT): one segment a chunk; the most segments,
+# of one slot each; segments of two and of three slots
+SEGMENTINGS = [(1, 32), (1 << 30, 1), (1 << 30, 2), (1 << 30, 3)]
+
+# _CHUNK_CELLS for 96-slot chunks of a 3-replication, four-policy block at N = 4
+CELLS_96 = 96 * 3 * 16
+
+
 def both_paths(n, k):
     """Table limits that send an (n, k) system through each kernel it can use."""
     limits = [0]
@@ -70,28 +83,40 @@ def both_paths(n, k):
     return limits
 
 
-@pytest.mark.parametrize("n,k,horizon", SHAPES)
-def test_engine_matches_scalar_reference(n, k, horizon, monkeypatch):
+# 253 slots span three 96-slot chunks; the kept slots straddle their segment
+# and chunk boundaries under every segmenting
+BOUNDARY_CASE = (4, 2, 253, (1, 2, 31, 32, 33, 95, 96, 97, 191, 253))
+
+
+@pytest.mark.parametrize(
+    "n,k,horizon,kept",
+    [pytest.param(*shape, None, id="-".join(map(str, shape))) for shape in SHAPES]
+    + [pytest.param(*BOUNDARY_CASE, id="4-2-253-kept-across-chunks")],
+)
+def test_engine_matches_scalar_reference(n, k, horizon, kept, monkeypatch):
     cfg = shape_config(n, k, horizon)
+    segmentings = [(engine._SPECULATIVE_ROWS, engine._MIN_SEGMENT)]
+    if kept is None:
+        kept = range(1, horizon + 1)
+    else:
+        monkeypatch.setattr(engine, "_CHUNK_CELLS", CELLS_96)
+        segmentings += SEGMENTINGS
     reference = {
         (p, r): reference_run(cfg, p, r)
         for p in cfg.policies
         for r in range(cfg.replications)
     }
-    for limit in both_paths(n, k):
+    for limit, (rows, slots) in product(both_paths(n, k), segmentings):
         monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
-        block = engine.simulate(
-            cfg, cfg.policies, range(cfg.replications), sampled_slots(horizon)
-        )
+        monkeypatch.setattr(engine, "_SPECULATIVE_ROWS", rows)
+        monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
+        block = engine.simulate(cfg, cfg.policies, range(cfg.replications), kept)
         for i, p in enumerate(cfg.policies):
             occupancy = np.zeros(horizon + 1, dtype=np.int64)
             for r in range(cfg.replications):
                 states, weights = reference[p, r]
-                assert block.recorded[i, r].tolist() == [list(x) for x in states[1:]]
-                assert block.mw_index[i, r].tolist() == weights
-                assert block.sampled[i, r].tolist() == [
-                    list(states[t]) for t in sampled_slots(horizon)
-                ]
+                assert block.states[i, r].tolist() == [list(states[t]) for t in kept]
+                assert block.mw_index[i, r].tolist() == [weights[t - 1] for t in kept]
                 occupancy += [sum(x) for x in states]
             assert block.occupancy[i].tolist() == occupancy.tolist()
 
@@ -197,10 +222,11 @@ def test_chunk_size_does_not_change_the_outputs(cells, monkeypatch):
 
 def test_audit_chunk_and_block_sizes_do_not_change_states(monkeypatch):
     cfg = shape_config(3, 2, 97)
-    whole = engine.simulate(cfg, cfg.policies, range(3), ()).recorded
+    every_slot = range(1, 98)
+    whole = engine.simulate(cfg, cfg.policies, range(3), every_slot).states
     monkeypatch.setattr(engine, "_CHUNK_CELLS", 1)
     parts = [
-        engine.simulate(cfg, cfg.policies, range(r, r + 1), ()).recorded
+        engine.simulate(cfg, cfg.policies, range(r, r + 1), every_slot).states
         for r in range(3)
     ]
     assert np.array_equal(whole, np.concatenate(parts, axis=1))
@@ -221,7 +247,7 @@ def test_memory_stays_bounded_as_the_horizon_grows(monkeypatch):
         )
         tracemalloc.start()
         try:
-            engine.simulate(cfg, cfg.policies, range(2), sampled_slots(horizon))
+            engine.simulate(cfg, cfg.policies, range(2), experiment_slots(cfg))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,13 +274,8 @@ def count_kernel_calls(monkeypatch):
 def same_blocks(a, b):
     return all(
         np.array_equal(getattr(a, f), getattr(b, f))
-        for f in ("occupancy", "sampled", "recorded", "mw_index")
+        for f in ("occupancy", "states", "mw_index")
     )
-
-
-# (_SPECULATIVE_ROWS, _MIN_SEGMENT): one segment a chunk; the most segments,
-# of one slot each; segments of two and of three slots
-SEGMENTINGS = [(1, 32), (1 << 30, 1), (1 << 30, 2), (1 << 30, 3)]
 
 
 @pytest.mark.parametrize("limit", [0, 1 << 30])
@@ -264,17 +285,17 @@ def test_segments_do_not_change_the_outputs(limit, connect, arrive, monkeypatch)
     monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
     # 96-slot chunks of the 3-replication block: 253 slots span three of
     # them, and the default 32-slot segments do not divide the last one
-    monkeypatch.setattr(engine, "_CHUNK_CELLS", 96 * 3 * 16)
-    horizon = 253
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", CELLS_96)
     cfg = shape_config(
-        4, 2, horizon, params=SystemParams(4, 2, connect, arrive), record_interval=7
+        4, 2, 253, params=SystemParams(4, 2, connect, arrive), record_interval=7
     )
-    single = replace(cfg, replications=1)
+    kept = experiment_slots(cfg)
     calls = count_kernel_calls(monkeypatch)
 
     def outputs():
-        block = engine.simulate(cfg, cfg.policies, range(3), sampled_slots(horizon))
-        return block, run_experiment(cfg), run_replication(single, 0, "random_maximal")
+        block = engine.simulate(cfg, cfg.policies, range(3), kept)
+        single = engine.simulate(cfg, ("random_maximal",), range(1), kept)
+        return block, single, run_experiment(cfg)
 
     default = outputs()
     schedules = {tuple(calls)}
@@ -282,10 +303,11 @@ def test_segments_do_not_change_the_outputs(limit, connect, arrive, monkeypatch)
         monkeypatch.setattr(engine, "_SPECULATIVE_ROWS", rows)
         monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
         calls.clear()
-        block, *rest = outputs()
+        block, single, report = outputs()
         schedules.add(tuple(calls))
         assert same_blocks(block, default[0]), (rows, slots)
-        assert rest == list(default[1:]), (rows, slots)
+        assert same_blocks(single, default[1]), (rows, slots)
+        assert report == default[2], (rows, slots)
     # each setting ran the chunks its own way
     assert len(schedules) == 1 + len(SEGMENTINGS)
 
@@ -310,7 +332,7 @@ def test_segments_cut_kernel_calls_below_one_a_slot(arrive, monkeypatch):
         record_interval=50,
     )
     calls = count_kernel_calls(monkeypatch)
-    engine.simulate(cfg, cfg.policies, range(2), sampled_slots(cfg.horizon))
+    engine.simulate(cfg, cfg.policies, range(2), experiment_slots(cfg))
     if arrive == 0.2:
         assert len(calls) < cfg.horizon // 4  # about 450
     else:
@@ -331,7 +353,7 @@ def test_memory_stays_bounded_as_segmented_horizons_grow():
         )
         tracemalloc.start()
         try:
-            engine.simulate(cfg, cfg.policies, range(2), sampled_slots(horizon))
+            engine.simulate(cfg, cfg.policies, range(2), experiment_slots(cfg))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

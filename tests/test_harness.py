@@ -19,7 +19,6 @@ from mwmlab.harness import (
     format_dominance_summary,
     per_slot_preceq_audit,
     run_experiment,
-    run_replication,
     sampled_slots,
     trace_csv_lines,
     write_lines,
@@ -78,6 +77,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             make_config(initial_state=(1, 2))
 
+    def test_cost_functions_must_be_unique(self):
+        with pytest.raises(ValueError, match="cost functions must be unique"):
+            make_config(cost_functions=("max_queue", "total_occupancy", "max_queue"))
+
     def test_queue_lengths_must_fit_the_engine(self):
         with pytest.raises(ValueError, match="2\\*\\*48"):
             make_config(initial_state=(2**48 - 64, 0, 0))
@@ -106,30 +109,41 @@ class TestSampledSlots:
         assert sampled_slots(1) == (1,)
 
 
+def every_slot(cfg):
+    return range(1, cfg.horizon + 1)
+
+
 class TestRunReplication:
+    """One policy through one replication: ``engine.simulate`` with one name."""
+
     def test_no_arrivals_stay_empty(self):
         cfg = make_config(
             params=SystemParams(3, 2, 0.5, 0.0), record_interval=1, horizon=20
         )
         for policy in cfg.policies:
-            for rec in run_replication(cfg, 0, policy):
-                assert rec.state == (0, 0, 0)
-                assert rec.costs[0] == 0
+            block = engine.simulate(cfg, (policy,), range(1), every_slot(cfg))
+            assert not block.states.any()
+            assert not block.occupancy.any()
 
     def test_no_service_accumulates_every_arrival(self):
         cfg = make_config(
             params=SystemParams(3, 2, 0.0, 1.0), horizon=10, record_interval=10
         )
         for policy in cfg.policies:
-            (rec,) = run_replication(cfg, 0, policy)
-            assert rec.state == (10, 10, 10)
-            assert rec.costs[0] == 30
-            assert rec.mw_index == 0
+            block = engine.simulate(cfg, (policy,), range(1), (10,))
+            assert block.states[0, 0].tolist() == [[10, 10, 10]]
+            assert block.occupancy[0, 10] == 30
+            assert block.mw_index[0, 0].tolist() == [0]
 
     def test_bit_identical_reruns(self):
         cfg = make_config(record_interval=1)
         for policy in cfg.policies:
-            assert run_replication(cfg, 3, policy) == run_replication(cfg, 3, policy)
+            a, b = (
+                engine.simulate(cfg, (policy,), range(3, 4), every_slot(cfg))
+                for _ in range(2)
+            )
+            for field in ("occupancy", "states", "mw_index"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_initial_state_override(self):
         cfg = make_config(
@@ -139,17 +153,17 @@ class TestRunReplication:
             record_interval=1,
             policies=("mwm",),
         )
-        recs = run_replication(cfg, 0, "mwm")
-        assert all(r.state == (5, 2) for r in recs)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            run_replication(make_config(), 0, "nope")
+        block = engine.simulate(cfg, ("mwm",), range(1), every_slot(cfg))
+        assert block.states[0, 0].tolist() == [[5, 2]] * 4
 
     def test_trace_consistent_with_independent_recomputation(self):
         cfg = make_config(record_interval=1, horizon=40)
+        records = run_experiment(cfg)[1]
         for policy in cfg.policies:
-            records = run_replication(cfg, 2, policy)
+            block = engine.simulate(cfg, (policy,), range(2, 3), every_slot(cfg))
+            traced = [
+                rec for rec in records if rec.replication == 2 and rec.policy == policy
+            ]
             x = cfg.start_state()
             n, k = cfg.params.n_queues, cfg.params.n_servers
             for t in range(1, cfg.horizon + 1):
@@ -167,7 +181,9 @@ class TestRunReplication:
                     m = DETERMINISTIC_DECIDERS[policy](x, c)
                 mw = matching_weight(x, c, m)
                 x = tuple(s + ai for s, ai in zip(serve(x, c, m), a))
-                rec = records[t - 1]
+                assert tuple(block.states[0, 0, t - 1].tolist()) == x
+                assert block.mw_index[0, 0, t - 1] == mw
+                rec = traced[t - 1]
                 assert rec.slot == t
                 assert rec.state == x
                 assert rec.mw_index == mw
@@ -185,15 +201,27 @@ class TestCoupling:
         everyone, everyone_records = run_experiment(
             make_config(policies=tuple(reversed(cfg.policies)), **sizes)
         )
-        for policy in cfg.policies:
-            alone = [
-                rec for r in range(cfg.replications)
-                for rec in run_replication(cfg, r, policy)
+        slots = range(cfg.record_interval, cfg.horizon + 1, cfg.record_interval)
+
+        def traced(records, policy):
+            return [
+                (rec.replication, rec.slot, rec.state, rec.mw_index)
+                for rec in records if rec.policy == policy
             ]
-            assert [rec for rec in everyone_records if rec.policy == policy] == alone
+
+        for policy in cfg.policies:
+            block = engine.simulate(cfg, (policy,), range(cfg.replications), slots)
+            alone = [
+                (r, t, tuple(x), mw)
+                for r, (states, weights) in enumerate(
+                    zip(block.states[0].tolist(), block.mw_index[0].tolist())
+                )
+                for t, x, mw in zip(slots, states, weights)
+            ]
+            assert traced(everyone_records, policy) == alone
             few = ("mwm",) if policy == "mwm" else ("mwm", policy)
             report, records = run_experiment(make_config(policies=few, **sizes))
-            assert [rec for rec in records if rec.policy == policy] == alone
+            assert traced(records, policy) == alone
             assert report.mean_occupancy[policy] == everyone.mean_occupancy[policy]
 
     def test_full_connectivity_with_enough_servers_collapses_all_policies(self):
@@ -201,8 +229,8 @@ class TestCoupling:
             params=SystemParams(2, 3, 1.0, 0.5), horizon=60, replications=1,
             record_interval=1,
         )
-        block = engine.simulate(cfg, cfg.policies, range(1), ())
-        states = dict(zip(cfg.policies, block.recorded[:, 0].tolist()))
+        block = engine.simulate(cfg, cfg.policies, range(1), every_slot(cfg))
+        states = dict(zip(cfg.policies, block.states[:, 0].tolist()))
         reference = states["mwm"]
         for policy in cfg.policies:
             assert states[policy] == reference
@@ -215,9 +243,8 @@ class TestCoupledCompare:
         assert report.violations == ()
 
     def test_requires_mwm(self):
-        cfg = make_config(policies=("greedy_lcq",))
-        with pytest.raises(ValueError):
-            run_experiment(cfg)
+        with pytest.raises(ValueError, match="needs the mwm policy"):
+            make_config(policies=("greedy_lcq",))
 
     def test_report_reproducible_and_thread_invariant(self):
         cfg = make_config(horizon=48, replications=6)
@@ -450,9 +477,9 @@ class TestAudit:
         assert report.slots_checked == 3 * 80
         holding = 0
         block = engine.simulate(
-            cfg, ("mwm", "fixed_order"), range(cfg.replications), ()
+            cfg, ("mwm", "fixed_order"), range(cfg.replications), every_slot(cfg)
         )
-        for xm, xb in zip(*block.recorded.tolist()):
+        for xm, xb in zip(*block.states.tolist()):
             holding += sum(
                 tuple(xm[t]) in bfs_lower_set(xb[t]) for t in range(cfg.horizon)
             )
