@@ -27,15 +27,23 @@ batched greedy pass.
 Each chunk of slots is advanced in two passes. The speculative pass splits
 it into S segments of L slots and advances them all in lockstep, one batch
 of S·P·R rows a kernel call: segment 0 from the true state, every other
-segment from the empty state, each on its own slots' draws. The repair pass
-then goes through the boundaries in order. Where the exact state at a
-boundary is not all zero, it steps slot by slot from that state, writing
-over the speculative states, until every row equals them again, which may
-be past the segment's end. The stitched path is exact: a slot's update is a
-deterministic function of the row's state and the slot's draws, so a
-speculative trajectory that meets the exact one at some slot stays on it
-from then on, the coalescence that coupling from the past rests on (Propp &
-Wilson, 1996). Only the number of repair steps depends on where paths meet.
+segment from the empty state, each on its own slots' draws. Every boundary
+whose stored state is not all zero then opens a break, and the repair pass
+steps all open breaks in lockstep, one slot each a kernel call, from the
+states stored at their boundaries. A break writes over the stored states
+and ends where it meets them, or at the chunk's end. The stitched path is
+exact: a slot's update is a deterministic function of the row's state and
+the slot's draws, so a trajectory that meets another at some slot stays on
+it from then on, the coalescence that coupling from the past rests on
+(Propp & Wilson, 1996) and that time-parallel simulation repairs by
+(Heidelberger & Stone, 1990). Only the first open break starts from an
+exact state; a later one starts from a state an earlier break may still
+overwrite. So a break that reaches the next open break's origin without
+meeting the stored state there absorbs that break: it goes on with its own
+state and may not end at or before the slot the absorbed break had reached,
+since only past that slot does the stored path follow from itself again.
+Once one break is left it steps alone, P·R rows a call. Only the number of
+repair steps depends on where paths meet.
 S is 1, and a chunk runs slot by slot, when the P·R rows already fill a
 speculative batch, when the chunk is shorter than two segments, or when
 N·λ >= min(N, K): then no policy can serve the mean arrivals, the queues
@@ -60,7 +68,7 @@ from .policies import FIXED_ORDER, GREEDY_LCQ, MWM, RANDOM_MAXIMAL
 
 # Systems with at most this many matchings use the table kernel. The table
 # also needs N*K <= matching.ENUMERATION_LIMIT, so a draw weight is below
-# 2**25 and a matching has at most five pairs; every score fits in int64.
+# 2**25 and a matching has at most five pairs.
 _TABLE_MAX_MATCHINGS = 256
 
 # A chunk of slots holds about this many cells of the block's states or
@@ -68,15 +76,16 @@ _TABLE_MAX_MATCHINGS = 256
 _CHUNK_CELLS = 1 << 16
 
 # The speculative pass advances about this many rows per kernel call, in
-# segments of at least this many slots. Up to about 128 rows a kernel call
-# costs little more than its fixed dispatch; shorter segments would coalesce
-# too rarely before they end for the repairs to stay short.
-_SPECULATIVE_ROWS = 128
+# segments of at least this many slots. At N=4, K=2 a table-kernel call costs
+# about 27 us at 8 rows and 120 us at 512, about 0.2 us a row past its fixed
+# dispatch. Shorter segments would coalesce too rarely before they end, and
+# would split short runs such as the 50-slot order audit, which gain nothing.
+_SPECULATIVE_ROWS = 512
 _MIN_SEGMENT = 32
 
 # Table weight of an edge that is not serviceable: a matching that uses one
 # scores below the empty matching, which scores 0.
-_UNSERVICEABLE = -(2**58)
+_UNSERVICEABLE = -(2.0**58)
 
 
 @dataclass
@@ -141,7 +150,7 @@ def simulate(
         arrivals = _next_chunk(streams[1]) < params.arrival_prob
         draws = [conn.reshape(chunk, -1, n, k), arrivals]
         if len(streams) > 2:
-            draws.append(_draw_ranks(_next_chunk(streams[2])))
+            draws.append(_ranks(_next_chunk(streams[2])))
         _advance(kernel, hist, draws, size, length)
 
         occupancy[:, first : first + size] = hist[1 : size + 1].sum(axis=(2, 3)).T
@@ -176,16 +185,41 @@ def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> N
         # step j of every segment, as rows s R + r
         _step(kernel, x, *(d[j:span:length].reshape(-1, *d.shape[2:]) for d in draws))
         out[:, j] = by_segment
-    reached = 0  # the last repair made hist[:reached + 1] exact
-    for b in range(length, size, length):
-        if b < reached or not hist[b].any():
-            continue
-        x = hist[b].copy()
-        reached = b
+    # One entry per open break: the boundary it started from, its frontier
+    # (the last slot it wrote), its floor (it may not end at or before that
+    # slot) and its (P, R, N) state at the frontier. The stored path follows
+    # from itself everywhere except just past a frontier and up to a floor.
+    origin = np.arange(length, size, length)
+    origin = origin[hist[origin].any(axis=(1, 2, 3))]
+    frontier, floor = origin.copy(), np.full(len(origin), -1)
+    x = hist[origin]
+    while len(x) > 1:
+        rows = x.swapaxes(0, 1).reshape(p, -1, n)
+        at = (d.take(frontier, 0).reshape(-1, *d.shape[2:]) for d in draws)
+        _step(kernel, rows, *at)
+        x = rows.reshape(p, -1, r, n).swapaxes(0, 1)
+        frontier += 1
+        met = (x == hist.take(frontier, 0)).all(axis=(1, 2, 3)) & (frontier > floor)
+        hist[frontier] = x
+        if met.any() or frontier[-1] == size:  # the last break is the furthest
+            live = ~met & (frontier < size)
+            origin, frontier, floor, x = (a[live] for a in (origin, frontier, floor, x))
+        # a break at the next one's origin absorbs it, with any break that one
+        # absorbs in the same step, and may not end at or before the furthest
+        # slot they reached
+        absorbed = frontier[:-1] == origin[1:]
+        if absorbed.any():
+            absorbed = np.concatenate(([False], absorbed))
+            head = np.cumsum(~absorbed) - 1
+            reach, keep = np.maximum(frontier, floor)[absorbed], ~absorbed
+            origin, frontier, floor, x = (a[keep] for a in (origin, frontier, floor, x))
+            np.maximum.at(floor, head[absorbed], reach)
+    if len(x):
+        x, reached, last = x[0], int(frontier[0]), int(floor[0])
         while reached < size:
             _step(kernel, x, *(d[reached] for d in draws))
             reached += 1
-            if np.array_equal(x, hist[reached]):
+            if reached > last and (x == hist[reached]).all():
                 break
             hist[reached] = x
 
@@ -201,18 +235,12 @@ def _next_chunk(streams) -> np.ndarray:
     return np.stack([next(s) for s in streams], axis=1)
 
 
-def _draw_ranks(u: np.ndarray) -> np.ndarray:
-    """Rank of each draw among its slot's draws, under a stable sort."""
-    return np.argsort(np.argsort(u, axis=-1, kind="stable"), axis=-1)
+def _ranks(u: np.ndarray) -> np.ndarray:
+    """Rank of each entry among its row's entries, under a stable sort.
 
-
-def _queue_rank(x: np.ndarray, queues: np.ndarray) -> np.ndarray:
-    """Each queue's rank under (-x_n, n) in every row of the (R, N) ``x``.
-
-    ``queues`` is ``arange(N)``.
+    The rank of a queue under (-x_n, n) is ``_ranks(-x)``.
     """
-    key = x * len(queues) - queues  # larger first; distinct within a row
-    return (key[:, None, :] > key[:, :, None]).sum(axis=2)
+    return np.argsort(np.argsort(u, axis=-1, kind="stable"), axis=-1)
 
 
 def _draw_rank(serv: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -236,37 +264,42 @@ class _TableKernel:
     """Scores every row against every matching; the first maximum wins.
 
     The table is sorted lexicographically by sorted pairs, so ``argmax``
-    returns the canonical optimum of each row.
+    returns the canonical optimum of each row. Scores are float64, for the
+    BLAS product, and exact: a matching has at most five pairs and every edge
+    weight is an integer below 2**48, so every serviceable matching scores an
+    integer below 2**53, and every other scores below -2**57.
     """
 
     def __init__(self, n: int, k: int, names: Sequence[str]):
         matched, server = matching_table(sorted(enumerate_matchings(n, k)), n)
         self.served = matched.astype(np.int64)
         edges = matched[:, :, None] & (server[:, :, None] == np.arange(k))
-        self.incidence = np.ascontiguousarray(edges.reshape(len(edges), -1).T, np.int64)
-        self.draw_weight = 1 << np.arange(n * k - 1, -1, -1)
+        self.incidence = np.ascontiguousarray(edges.reshape(len(edges), -1).T, float)
+        self.draw_weight = np.ldexp(1.0, np.arange(n * k - 1, -1, -1))
         # 2^(NK - 1 - key) for the edge key n * K + k, n the queue or its rank
         self.priority = self.draw_weight.reshape(n, k)
-        self.queues = np.arange(n)
         self.fixed = [p for p, name in enumerate(names) if name == FIXED_ORDER]
         self.dynamic = [(p, name) for p, name in enumerate(names) if name != FIXED_ORDER]
-        self.weights = {}  # per row count; the fixed rows are filled once
+        # (P, rows, N, K); it grows to the largest call, filling the fixed rows
+        self.weights = np.empty((len(names), 0, n, k))
 
     def __call__(self, x: np.ndarray, c: np.ndarray, ranks) -> np.ndarray:
         serv = (x > 0)[..., None] & c
-        w = self.weights.get(serv.shape)
-        if w is None:
-            w = self.weights[serv.shape] = np.empty(serv.shape, dtype=np.int64)
-            w[self.fixed] = self.priority
+        rows = serv.shape[1]
+        if rows > self.weights.shape[1]:
+            self.weights = np.empty(serv.shape)
+            self.weights[self.fixed] = self.priority
+        w = self.weights[:, :rows]
         for p, name in self.dynamic:
             if name == MWM:
                 w[p] = x[p, :, :, None]
             elif name == GREEDY_LCQ:
-                w[p] = self.priority[_queue_rank(x[p], self.queues)]
+                w[p] = self.priority.take(_ranks(-x[p]), 0)
             else:
                 w[p] = self.draw_weight[_draw_rank(serv[p], ranks)].reshape(w.shape[1:])
         score = np.where(serv, w, _UNSERVICEABLE).reshape(-1, len(self.incidence))
-        return self.served[(score @ self.incidence).argmax(axis=1)].reshape(x.shape)
+        best = (score @ self.incidence).argmax(axis=1)
+        return self.served.take(best, 0).reshape(x.shape)
 
 
 class _SplitKernel:
@@ -283,7 +316,6 @@ class _SplitKernel:
             server_of[:, None] == server_of
         )
         self.servers = np.arange(k)
-        self.queues = np.arange(n)
 
     def __call__(self, x: np.ndarray, c: np.ndarray, ranks) -> np.ndarray:
         serv = (x > 0)[..., None] & c
@@ -305,7 +337,7 @@ class _SplitKernel:
         if name == FIXED_ORDER:
             return np.broadcast_to(np.arange(self.edges), (len(x), self.edges))
         if name == GREEDY_LCQ:
-            key = _queue_rank(x, self.queues)[:, :, None] * len(self.servers)
+            key = _ranks(-x)[:, :, None] * len(self.servers)
             return (key + self.servers).reshape(len(x), -1)
         return _draw_rank(serv, ranks)
 

@@ -10,9 +10,11 @@ from reference import (
     DETERMINISTIC_DECIDERS,
     SamplePath,
     matching_weight,
+    max_weight_matching,
     path_uniforms,
     random_maximal_from_uniforms,
     serve,
+    weight_matrix,
 )
 
 from mwmlab import engine, matching, rng
@@ -88,19 +90,9 @@ def both_paths(n, k):
 BOUNDARY_CASE = (4, 2, 253, (1, 2, 31, 32, 33, 95, 96, 97, 191, 253))
 
 
-@pytest.mark.parametrize(
-    "n,k,horizon,kept",
-    [pytest.param(*shape, None, id="-".join(map(str, shape))) for shape in SHAPES]
-    + [pytest.param(*BOUNDARY_CASE, id="4-2-253-kept-across-chunks")],
-)
-def test_engine_matches_scalar_reference(n, k, horizon, kept, monkeypatch):
-    cfg = shape_config(n, k, horizon)
-    segmentings = [(engine._SPECULATIVE_ROWS, engine._MIN_SEGMENT)]
-    if kept is None:
-        kept = range(1, horizon + 1)
-    else:
-        monkeypatch.setattr(engine, "_CHUNK_CELLS", CELLS_96)
-        segmentings += SEGMENTINGS
+def assert_matches_reference(cfg, kept, segmentings, monkeypatch):
+    """Each kernel path under each (rows, slots) segmenting against ``reference_run``."""
+    n, k = cfg.params.n_queues, cfg.params.n_servers
     reference = {
         (p, r): reference_run(cfg, p, r)
         for p in cfg.policies
@@ -112,7 +104,7 @@ def test_engine_matches_scalar_reference(n, k, horizon, kept, monkeypatch):
         monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
         block = engine.simulate(cfg, cfg.policies, range(cfg.replications), kept)
         for i, p in enumerate(cfg.policies):
-            occupancy = np.zeros(horizon + 1, dtype=np.int64)
+            occupancy = np.zeros(cfg.horizon + 1, dtype=np.int64)
             for r in range(cfg.replications):
                 states, weights = reference[p, r]
                 assert block.states[i, r].tolist() == [list(states[t]) for t in kept]
@@ -121,9 +113,45 @@ def test_engine_matches_scalar_reference(n, k, horizon, kept, monkeypatch):
             assert block.occupancy[i].tolist() == occupancy.tolist()
 
 
-def _instances(n, k, max_x):
-    """Every (x, c) with entries of x up to max_x, as (B, N) and (B, N, K) arrays."""
-    xs = np.array(list(product(range(max_x + 1), repeat=n)), dtype=np.int64)
+DEFAULT_SEGMENTING = [(engine._SPECULATIVE_ROWS, engine._MIN_SEGMENT)]
+
+
+@pytest.mark.parametrize(
+    "n,k,horizon,kept",
+    [pytest.param(*shape, None, id="-".join(map(str, shape))) for shape in SHAPES]
+    + [pytest.param(*BOUNDARY_CASE, id="4-2-253-kept-across-chunks")],
+)
+def test_engine_matches_scalar_reference(n, k, horizon, kept, monkeypatch):
+    cfg = shape_config(n, k, horizon)
+    segmentings = DEFAULT_SEGMENTING
+    if kept is None:
+        kept = range(1, horizon + 1)
+    else:
+        monkeypatch.setattr(engine, "_CHUNK_CELLS", CELLS_96)
+        segmentings = DEFAULT_SEGMENTING + SEGMENTINGS
+    assert_matches_reference(cfg, kept, segmentings, monkeypatch)
+
+
+# Starts and loads under which breaks outlive their segment: from far above
+# empty every early boundary is open and the exact path reaches the next
+# break's origin, so breaks chain and get absorbed; near capacity the
+# segments started empty rarely coalesce at all.
+@pytest.mark.parametrize(
+    "horizon,overrides",
+    [
+        pytest.param(400, dict(initial_state=(40, 30, 20, 10)), id="far-start"),
+        pytest.param(1000, dict(initial_state=None, replications=2), id="near-capacity"),
+    ],
+)
+def test_repair_schedules_match_the_scalar_reference(horizon, overrides, monkeypatch):
+    cfg = shape_config(4, 2, horizon, **overrides)  # lambda = 0.45, p = 0.5
+    kept = range(1, cfg.horizon + 1)
+    assert_matches_reference(cfg, kept, DEFAULT_SEGMENTING + SEGMENTINGS, monkeypatch)
+
+
+def _instances(n, k, values):
+    """Every (x, c) with entries of x in ``values``, as (B, N) and (B, N, K) arrays."""
+    xs = np.array(list(product(values, repeat=n)), dtype=np.int64)
     bits = np.arange(1 << (n * k))
     cs = ((bits[:, None] >> np.arange(n * k)) & 1).astype(bool).reshape(-1, n, k)
     x = np.repeat(xs, len(cs), axis=0)
@@ -157,7 +185,7 @@ def test_weighting_fact_exhaustive(n, k):
     # every policy is the lexicographically smallest maximum-weight matching
     # over serviceable edges under its own weights, on every instance with
     # N, K <= 3 and x <= 3 (one draw row per instance for random_maximal)
-    x, c = _instances(n, k, 3)
+    x, c = _instances(n, k, range(4))
     u = np.random.default_rng(100 * n + k).random((len(x), n * k))
     table = sorted(enumerate_matchings(n, k))
     incidence = np.zeros((len(table), n, k), dtype=np.int64)
@@ -181,9 +209,9 @@ def test_weighting_fact_exhaustive(n, k):
 
 @pytest.mark.parametrize("n,k", list(product((1, 2, 3), repeat=2)))
 def test_both_kernels_decide_like_the_scalar_policies(n, k):
-    x, c = _instances(n, k, 3)
+    x, c = _instances(n, k, range(4))
     u = np.random.default_rng(7 * n + k).random((len(x), n * k))
-    ranks = engine._draw_ranks(u)
+    ranks = engine._ranks(u)
     xs, cs = x.tolist(), c.astype(int).tolist()
     names = POLICY_NAMES
     expected = np.zeros((len(names), len(x), n), dtype=np.int64)
@@ -199,6 +227,25 @@ def test_both_kernels_decide_like_the_scalar_policies(n, k):
     for kernel in (engine._TableKernel, engine._SplitKernel):
         served = kernel(n, k, names)(rows, c, ranks)
         assert np.array_equal(served, expected), kernel.__name__
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (3, 3)])
+def test_kernels_agree_at_the_state_bound(n, k):
+    # queue lengths just below the 2**48 that SimConfig allows, tied in most
+    # rows: matchings whose weights differ by one must still be told apart
+    top = 2**48 - 1
+    x, c = _instances(n, k, (0, top - 1, top))
+    u = np.random.default_rng(n + k).random((len(x), n * k))
+    ranks = engine._ranks(u)
+    names = POLICY_NAMES
+    rows = np.broadcast_to(x, (len(names), *x.shape)).copy()
+    table = engine._TableKernel(n, k, names)(rows, c, ranks)
+    assert np.array_equal(table, engine._SplitKernel(n, k, names)(rows, c, ranks))
+    expected = np.zeros_like(x)
+    for i, (xi, ci) in enumerate(zip(x.tolist(), c.astype(int).tolist())):
+        for q, _ in max_weight_matching(weight_matrix(xi, ci)):
+            expected[i, q] = 1
+    assert np.array_equal(table[names.index("mwm")], expected)
 
 
 def test_kernel_paths_give_the_same_outputs(monkeypatch):
@@ -321,7 +368,7 @@ def test_segments_with_workers_do_not_change_the_outputs(monkeypatch):
         assert run_experiment(cfg, max_workers=2) == default, (rows, slots)
 
 
-@pytest.mark.parametrize("arrive", [0.2, 0.6])
+@pytest.mark.parametrize("arrive", [0.2, 0.45, 0.6])
 def test_segments_cut_kernel_calls_below_one_a_slot(arrive, monkeypatch):
     cfg = SimConfig(
         params=SystemParams(4, 2, 0.5, arrive),
@@ -334,14 +381,18 @@ def test_segments_cut_kernel_calls_below_one_a_slot(arrive, monkeypatch):
     calls = count_kernel_calls(monkeypatch)
     engine.simulate(cfg, cfg.policies, range(2), experiment_slots(cfg))
     if arrive == 0.2:
-        assert len(calls) < cfg.horizon // 4  # about 450
+        assert len(calls) < cfg.horizon // 25  # 150
+    elif arrive == 0.45:
+        # segments rarely coalesce, yet the speculative pass and the breaks
+        # step at most three times the rows of one slot a call
+        assert sum(calls) <= 3 * len(POLICY_NAMES) * 2 * cfg.horizon  # 117,888
     else:
         # 2.4 mean arrivals a slot against two servers: one segment a chunk
         assert len(calls) == cfg.horizon and set(calls) == {8}  # P R rows a call
 
 
 def test_memory_stays_bounded_as_segmented_horizons_grow():
-    # default chunks of 2048 slots, each run in 16 segments of 128
+    # default chunks of 2048 slots, each run in 64 segments of 32
     def peak(horizon):
         cfg = SimConfig(
             params=SystemParams(4, 2, 0.5, 0.2),
