@@ -13,11 +13,11 @@ from .balance import (
     sweep_lemmas,
     total_occupancy,
 )
+from .engine import Block
 from .harness import (
     DominanceReport,
     PreceqAuditReport,
     SimConfig,
-    TraceRecord,
     per_slot_preceq_audit,
     run_experiment,
 )
@@ -28,13 +28,13 @@ from .queueing import SystemParams
 __version__ = "0.1.0"
 
 __all__ = [
+    "Block",
     "COST_FUNCTIONS",
     "DominanceReport",
     "POLICY_NAMES",
     "PreceqAuditReport",
     "SimConfig",
     "SystemParams",
-    "TraceRecord",
     "enumerate_matchings",
     "max_weight_matching",
     "per_slot_preceq_audit",

@@ -224,8 +224,8 @@ def _cmd_simulate(args) -> int:
           f"horizon={config.horizon}, replications={config.replications}, "
           f"seed={config.seed}, workers={workers}")
     _emit(f"policies: {', '.join(config.policies)}")
-    report, records = harness.run_experiment(config, max_workers=workers)
-    _write_lines(out / "trace.csv", harness.trace_csv_lines(config, records))
+    report, trace = harness.run_experiment(config, max_workers=workers)
+    _write_lines(out / "trace.csv", harness.trace_csv_lines(config, trace))
     for cost in config.cost_functions:
         _write_lines(
             out / f"dominance_{cost}.csv", harness.dominance_csv_lines(report, cost)

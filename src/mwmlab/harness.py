@@ -14,7 +14,6 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,13 +83,11 @@ class SimConfig:
                     f"initial state has {len(state)} entries for "
                     f"{self.params.n_queues} queues"
                 )
-            if max(state) + self.horizon >= _STATE_LIMIT:
-                raise ValueError(
-                    "initial queue lengths plus the horizon must stay below 2**48"
-                )
         # Every reachable state lies componentwise below this corner, so a
         # registered (monotone) cost is largest there; the report counts in int64.
         top = max(self.start_state()) + self.horizon
+        if top >= _STATE_LIMIT:
+            raise ValueError("initial queue lengths plus the horizon must stay below 2**48")
         for name in self.cost_functions:
             value = COST_FUNCTIONS[name]((top,) * self.params.n_queues)
             if value > 2**63 - 1:
@@ -103,17 +100,6 @@ class SimConfig:
         if self.initial_state is None:
             return (0,) * self.params.n_queues
         return tuple(int(v) for v in self.initial_state)
-
-
-class TraceRecord(NamedTuple):
-    """State of one policy's replication at one recorded slot."""
-
-    replication: int
-    slot: int
-    policy: str
-    state: QueueState
-    mw_index: int
-    costs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -179,78 +165,57 @@ def _record_slots(config: SimConfig) -> range:
     return range(config.record_interval, config.horizon + 1, config.record_interval)
 
 
-def _trace_records(
-    config: SimConfig, replications: range, block: engine.Block, columns: np.ndarray
-) -> list[TraceRecord]:
-    """A block's trace records, by replication, then policy, then slot.
-
-    ``columns`` index the record slots among the slots the block kept.
-    """
-    slots = _record_slots(config)
-    cost_fns = [COST_FUNCTIONS[name] for name in config.cost_functions]
-    states = block.states[:, :, columns].tolist()
-    mw_index = block.mw_index[:, :, columns].tolist()
-    records = []
-    for i, r in enumerate(replications):
-        for p, policy in enumerate(config.policies):
-            for t, x, mw in zip(slots, states[p][i], mw_index[p][i]):
-                x = tuple(x)
-                records.append(
-                    TraceRecord(r, t, policy, x, mw, tuple(fn(x) for fn in cost_fns))
-                )
-    return records
-
-
 def run_experiment(
     config: SimConfig, max_workers: int = 1
-) -> tuple[DominanceReport, list[TraceRecord]]:
+) -> tuple[DominanceReport, engine.Block]:
     """Run all policies over all replications and aggregate.
 
-    Replications are independent work units; aggregation always reduces in
-    replication order, so the result is identical for any worker count.
+    Returns the report and the trace: one block over all replications, its
+    states and matching weights at the record slots. Replications are
+    independent work units, merged in replication order, so the result is
+    identical for any worker count.
     """
     sampled = sampled_slots(config.horizon)
     recorded = _record_slots(config)
     kept = sorted({*sampled, *recorded})
-    at_sampled = np.searchsorted(kept, sampled)
-    at_recorded = np.searchsorted(kept, recorded)
-    # contiguous blocks of replications, one per worker, reduced in order
     reps = config.replications
     workers = max(1, min(max_workers, reps))
-    blocks = [
-        range(reps * w // workers, reps * (w + 1) // workers) for w in range(workers)
-    ]
-    args = [config] * workers, [config.policies] * workers, blocks, [kept] * workers
     if workers > 1:
         # imported here: the process machinery costs every command start-up time
         from concurrent.futures import ProcessPoolExecutor
 
+        # contiguous blocks of replications, one per worker, merged in order
+        blocks = [
+            range(reps * w // workers, reps * (w + 1) // workers) for w in range(workers)
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(engine.simulate, *args))
+            parts = list(pool.map(
+                engine.simulate, [config] * workers, [config.policies] * workers,
+                blocks, [kept] * workers,
+            ))
+        trace = engine.Block(
+            sum(part.occupancy for part in parts),
+            np.concatenate([part.states for part in parts], axis=1),
+            np.concatenate([part.mw_index for part in parts], axis=1),
+        )
     else:
-        results = list(map(engine.simulate, *args))
+        trace = engine.simulate(config, config.policies, range(reps), kept)
 
-    cost_fns = [COST_FUNCTIONS[name] for name in config.cost_functions]
-    occ_sums = {}
-    values = {
-        p: {c: np.empty((reps, len(sampled)), dtype=np.int64)
-            for c in config.cost_functions}
-        for p in config.policies
+    at_sampled = trace.states[:, :, np.searchsorted(kept, sampled)]
+    states = [tuple(x) for x in at_sampled.reshape(-1, at_sampled.shape[-1]).tolist()]
+    costs = {
+        name: np.array([COST_FUNCTIONS[name](x) for x in states], dtype=np.int64)
+        .reshape(at_sampled.shape[:3])
+        for name in config.cost_functions
     }
-    records: list[TraceRecord] = []
-    for block, result in zip(blocks, results):
-        sampled_states = result.states[:, :, at_sampled].tolist()
-        for i, p in enumerate(config.policies):
-            occ_sums[p] = occ_sums.get(p, 0) + result.occupancy[i]
-            states = [[tuple(x) for x in rep] for rep in sampled_states[i]]
-            for c, fn in zip(config.cost_functions, cost_fns):
-                values[p][c][block.start : block.stop] = [
-                    [fn(x) for x in rep] for rep in states
-                ]
-        records.extend(_trace_records(config, block, result, at_recorded))
-
-    report = _build_report(config, sampled, occ_sums, values)
-    return report, records
+    report = _build_report(config, sampled, trace.occupancy, costs)
+    # when every kept slot is recorded, the trace is the block itself, not a copy
+    if len(recorded) < len(kept):
+        at = np.searchsorted(kept, recorded)
+        trace = engine.Block(
+            trace.occupancy, trace.states[:, :, at], trace.mw_index[:, :, at]
+        )
+    return report, trace
 
 
 def clopper_pearson_table(trials: int) -> tuple[tuple[float, float], ...]:
@@ -354,15 +319,17 @@ def _percentile_99(flat: np.ndarray) -> int:
     return int(ordered[idx])
 
 
-def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
+def _build_report(config, sampled, occupancy, costs) -> DominanceReport:
+    """The report from the (P, T + 1) occupancy sums and the (P, R, sampled) costs."""
     reps = config.replications
     horizon = config.horizon
 
     mean_occupancy = {
-        p: tuple((occ_sums[p] / reps).tolist()) for p in config.policies
+        p: tuple((occ / reps).tolist()) for p, occ in zip(config.policies, occupancy)
     }
     stability = {
-        p: _stability_check(occ_sums[p], reps, horizon) for p in config.policies
+        p: _stability_check(occ, reps, horizon)
+        for p, occ in zip(config.policies, occupancy)
     }
 
     # the success count k of any point lies in 0..reps
@@ -374,13 +341,12 @@ def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
     mean_costs: dict[str, dict[str, tuple[float, ...]]] = {}
     violations: list[DominanceViolation] = []
     for cost in config.cost_functions:
-        pooled = np.concatenate([values[p][cost].ravel() for p in config.policies])
-        thresholds[cost] = _percentile_99(pooled) + 1
+        thresholds[cost] = _percentile_99(costs[cost]) + 1
         # k = #(value > r) for every (slot, r, policy) at once
         grid = np.arange(thresholds[cost])
         ks = reps - np.array([
             [np.searchsorted(column, grid, side="right") for column in v.T]
-            for v in np.sort([values[p][cost] for p in config.policies], axis=1)
+            for v in np.sort(costs[cost], axis=1)
         ]).transpose(1, 2, 0)
         counts[cost] = tuple(ks.ravel().tolist())
         # the mwm tail provably exceeds a baseline's where the intervals are disjoint
@@ -391,8 +357,8 @@ def _build_report(config, sampled, occ_sums, values) -> DominanceReport:
                 k_mwm / reps, k_p / reps, intervals[k_mwm][0], intervals[k_p][1],
             ))
         mean_costs[cost] = {
-            p: tuple((values[p][cost].sum(axis=0) / reps).tolist())
-            for p in config.policies
+            p: tuple((v.sum(axis=0) / reps).tolist())
+            for p, v in zip(config.policies, costs[cost])
         }
 
     return DominanceReport(
@@ -502,20 +468,30 @@ def format_audit_report(report: PreceqAuditReport) -> str:
 
 # --- file output -------------------------------------------------------------
 
-def trace_csv_lines(config: SimConfig, records: Iterable[TraceRecord]):
-    """Long-format trace rows, one line per (record, cost function)."""
+def trace_csv_lines(config: SimConfig, trace: engine.Block):
+    """Long-format rows of a ``run_experiment`` trace, read one replication at a time."""
+    slots = _record_slots(config)
     n = config.params.n_queues
+    shape = (len(config.policies), config.replications, len(slots), n)
+    if trace.states.shape != shape or trace.mw_index.shape != shape[:3]:
+        raise ValueError(
+            f"trace states {trace.states.shape} and weights {trace.mw_index.shape} "
+            f"do not match the config's (policies, replications, slots, queues) {shape}"
+        )
+    cost_fns = [(name, COST_FUNCTIONS[name]) for name in config.cost_functions]
     yield (
         "replication,slot,policy,cost_name,cost_value,mw_index,"
         + ",".join(f"x_{i}" for i in range(n))
     )
-    for rec in records:
-        state = ",".join(map(str, rec.state))
-        for cost_name, cost_value in zip(config.cost_functions, rec.costs):
-            yield (
-                f"{rec.replication},{rec.slot},{rec.policy},"
-                f"{cost_name},{cost_value},{rec.mw_index},{state}"
-            )
+    for r in range(config.replications):
+        states = trace.states[:, r].tolist()
+        weights = trace.mw_index[:, r].tolist()
+        for policy, rows, mws in zip(config.policies, states, weights):
+            for t, x, mw in zip(slots, rows, mws):
+                x = tuple(x)
+                state = ",".join(map(str, x))
+                for name, fn in cost_fns:
+                    yield f"{r},{t},{policy},{name},{fn(x)},{mw},{state}"
 
 
 def dominance_csv_lines(report: DominanceReport, cost: str):

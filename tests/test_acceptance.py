@@ -210,10 +210,10 @@ def test_criterion_7_reproducibility(tmp_path):
     )
     outputs = []
     for idx, workers in enumerate((1, 2)):
-        report, records = run_experiment(config, max_workers=workers)
+        report, trace = run_experiment(config, max_workers=workers)
         out = tmp_path / f"run{idx}"
         out.mkdir()
-        write_lines(out / "trace.csv", trace_csv_lines(config, records))
+        write_lines(out / "trace.csv", trace_csv_lines(config, trace))
         for cost in config.cost_functions:
             write_lines(
                 out / f"dominance_{cost}.csv", dominance_csv_lines(report, cost)

@@ -403,6 +403,22 @@ class TestSimulateFiles:
         assert "2**63 - 1" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_horizon_past_the_state_bound_fails_before_the_out_dir(self, capsys, tmp_path):
+        # from the empty start as from a given one, queues could pass 2**48
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", "--queues", "2", "--servers", "1", "--p", "0.5",
+             "--lambda", "0.2", "--horizon", str(2**48), "--replications", "1",
+             "--policy", "mwm", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert err == (
+            "error: initial queue lengths plus the horizon must stay below 2**48\n"
+        )
+        assert "simulate:" not in out
+        assert not out_dir.exists()
+
     def test_policies_without_mwm_fail_before_the_out_dir(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, out, err = run_cli(

@@ -69,6 +69,18 @@ def experiment_slots(cfg):
     return sorted({*sampled_slots(cfg.horizon), *recorded})
 
 
+def same_blocks(a, b):
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("occupancy", "states", "mw_index")
+    )
+
+
+def same_experiment(a, b):
+    """Whether two ``run_experiment`` results have equal reports and traces."""
+    return a[0] == b[0] and same_blocks(a[1], b[1])
+
+
 # (_SPECULATIVE_ROWS, _MIN_SEGMENT): one segment a chunk; the most segments,
 # of one slot each; segments of two and of three slots
 SEGMENTINGS = [(1, 32), (1 << 30, 1), (1 << 30, 2), (1 << 30, 3)]
@@ -256,7 +268,7 @@ def test_kernel_paths_give_the_same_outputs(monkeypatch):
         for limit in (0, 1 << 30):
             monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
             outputs.append(run_experiment(cfg))
-        assert outputs[0] == outputs[1]
+        assert same_experiment(*outputs)
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 40])
@@ -264,7 +276,7 @@ def test_chunk_size_does_not_change_the_outputs(cells, monkeypatch):
     cfg = shape_config(4, 2, 203, record_interval=7, replications=3)
     default = run_experiment(cfg)
     monkeypatch.setattr(engine, "_CHUNK_CELLS", cells)
-    assert run_experiment(cfg) == default
+    assert same_experiment(run_experiment(cfg), default)
 
 
 def test_audit_chunk_and_block_sizes_do_not_change_states(monkeypatch):
@@ -305,6 +317,34 @@ def test_memory_stays_bounded_as_the_horizon_grows(monkeypatch):
     assert long - short < growth + (1 << 14), (short, long)
 
 
+def test_experiment_memory_per_record_stays_small(monkeypatch):
+    # small chunks, so that both horizons span many of them
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 1 << 10)
+    replications = 4
+
+    def peak(horizon):
+        cfg = SimConfig(
+            params=SystemParams(4, 2, 0.5, 0.2),
+            horizon=horizon,
+            replications=replications,
+            seed=42,
+            policies=POLICY_NAMES,
+            record_interval=1,
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(1_000), peak(5_000)
+    records = len(POLICY_NAMES) * replications * 4_000
+    # a record is N + 1 int64 of the trace, 40 bytes; the occupancy sums and the
+    # report's mean occupancy add about 10 more a record at four replications
+    assert long - short < 80 * records, (short, long)
+
+
 def count_kernel_calls(monkeypatch):
     """A list that gets the row count of every call of either kernel from now on."""
     calls = []
@@ -316,13 +356,6 @@ def count_kernel_calls(monkeypatch):
 
         monkeypatch.setattr(kernel, "__call__", counted)
     return calls
-
-
-def same_blocks(a, b):
-    return all(
-        np.array_equal(getattr(a, f), getattr(b, f))
-        for f in ("occupancy", "states", "mw_index")
-    )
 
 
 @pytest.mark.parametrize("limit", [0, 1 << 30])
@@ -350,11 +383,11 @@ def test_segments_do_not_change_the_outputs(limit, connect, arrive, monkeypatch)
         monkeypatch.setattr(engine, "_SPECULATIVE_ROWS", rows)
         monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
         calls.clear()
-        block, single, report = outputs()
+        block, single, experiment = outputs()
         schedules.add(tuple(calls))
         assert same_blocks(block, default[0]), (rows, slots)
         assert same_blocks(single, default[1]), (rows, slots)
-        assert report == default[2], (rows, slots)
+        assert same_experiment(experiment, default[2]), (rows, slots)
     # each setting ran the chunks its own way
     assert len(schedules) == 1 + len(SEGMENTINGS)
 
@@ -365,7 +398,7 @@ def test_segments_with_workers_do_not_change_the_outputs(monkeypatch):
     for rows, slots in SEGMENTINGS:
         monkeypatch.setattr(engine, "_SPECULATIVE_ROWS", rows)
         monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
-        assert run_experiment(cfg, max_workers=2) == default, (rows, slots)
+        assert same_experiment(run_experiment(cfg, max_workers=2), default), (rows, slots)
 
 
 @pytest.mark.parametrize("arrive", [0.2, 0.45, 0.6])

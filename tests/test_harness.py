@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -33,6 +34,32 @@ from reference import (
     serve,
 )
 from test_balance import bfs_lower_set
+from test_engine import same_blocks
+
+
+class Record(NamedTuple):
+    """One (replication, policy, record slot) of a trace, with its costs."""
+
+    replication: int
+    slot: int
+    policy: str
+    state: tuple[int, ...]
+    mw_index: int
+    costs: tuple[int, ...]
+
+
+def trace_records(cfg, trace):
+    """The records of a ``run_experiment`` trace, in ``trace.csv`` row order."""
+    slots = range(cfg.record_interval, cfg.horizon + 1, cfg.record_interval)
+    records = []
+    for r in range(cfg.replications):
+        for i, policy in enumerate(cfg.policies):
+            rows = zip(slots, trace.states[i, r].tolist(), trace.mw_index[i, r].tolist())
+            for t, x, mw in rows:
+                x = tuple(x)
+                costs = tuple(COST_FUNCTIONS[name](x) for name in cfg.cost_functions)
+                records.append(Record(r, t, policy, x, mw, costs))
+    return records
 
 
 def ccdf_rows(report, cost):
@@ -85,6 +112,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="2\\*\\*48"):
             make_config(initial_state=(2**48 - 64, 0, 0))
         make_config(initial_state=(2**48 - 65, 0, 0))
+
+    def test_empty_start_must_fit_the_engine(self):
+        # the same bound without an initial state: the queues start at zero
+        with pytest.raises(ValueError, match="2\\*\\*48"):
+            make_config(horizon=2**48)
+        make_config(horizon=2**48 - 1)
 
     def test_costs_must_fit_int64(self):
         # every queue can reach its start plus the horizon; 3 * m**2 fits, 3 * (m + 1)**2 not
@@ -158,7 +191,7 @@ class TestRunReplication:
 
     def test_trace_consistent_with_independent_recomputation(self):
         cfg = make_config(record_interval=1, horizon=40)
-        records = run_experiment(cfg)[1]
+        records = trace_records(cfg, run_experiment(cfg)[1])
         for policy in cfg.policies:
             block = engine.simulate(cfg, (policy,), range(2, 3), every_slot(cfg))
             traced = [
@@ -198,9 +231,9 @@ class TestCoupling:
         # reference only, or with all four policies in another order
         sizes = dict(horizon=40, replications=4, record_interval=5)
         cfg = make_config(**sizes)
-        everyone, everyone_records = run_experiment(
-            make_config(policies=tuple(reversed(cfg.policies)), **sizes)
-        )
+        everyone_cfg = make_config(policies=tuple(reversed(cfg.policies)), **sizes)
+        everyone, everyone_trace = run_experiment(everyone_cfg)
+        everyone_records = trace_records(everyone_cfg, everyone_trace)
         slots = range(cfg.record_interval, cfg.horizon + 1, cfg.record_interval)
 
         def traced(records, policy):
@@ -220,8 +253,9 @@ class TestCoupling:
             ]
             assert traced(everyone_records, policy) == alone
             few = ("mwm",) if policy == "mwm" else ("mwm", policy)
-            report, records = run_experiment(make_config(policies=few, **sizes))
-            assert traced(records, policy) == alone
+            few_cfg = make_config(policies=few, **sizes)
+            report, trace = run_experiment(few_cfg)
+            assert traced(trace_records(few_cfg, trace), policy) == alone
             assert report.mean_occupancy[policy] == everyone.mean_occupancy[policy]
 
     def test_full_connectivity_with_enough_servers_collapses_all_policies(self):
@@ -252,7 +286,8 @@ class TestCoupledCompare:
         r2, t2 = run_experiment(cfg, max_workers=1)
         r3, t3 = run_experiment(cfg, max_workers=2)
         assert r1 == r2 == r3
-        assert t1 == t2 == t3
+        assert trace_records(cfg, t1) == trace_records(cfg, t2) == trace_records(cfg, t3)
+        assert same_blocks(t1, t2) and same_blocks(t1, t3)
 
     def test_ccdf_monotone_and_bounded(self):
         cfg = make_config(horizon=48, replications=10)
@@ -268,7 +303,8 @@ class TestCoupledCompare:
 
     def test_ccdf_counts_match_records(self):
         cfg = make_config(horizon=16, replications=7, record_interval=1)
-        report, records = run_experiment(cfg)
+        report, trace = run_experiment(cfg)
+        records = trace_records(cfg, trace)
         intervals = clopper_pearson_table(cfg.replications)
         for cost_idx, cost in enumerate(cfg.cost_functions):
             for slot, r, policy, ccdf, lo, hi in ccdf_rows(report, cost):
@@ -284,7 +320,8 @@ class TestCoupledCompare:
     def test_mean_costs_match_records(self):
         cfg = make_config(horizon=16, replications=5, record_interval=1,
                           policies=("mwm", "fixed_order"))
-        report, records = run_experiment(cfg)
+        report, trace = run_experiment(cfg)
+        records = trace_records(cfg, trace)
         for cost_idx, cost in enumerate(cfg.cost_functions):
             for policy in cfg.policies:
                 for slot_idx, slot in enumerate(report.sampled_slots):
@@ -313,8 +350,11 @@ class TestCoupledCompare:
         values = {
             p: {"total_occupancy": v, "max_queue": v // 3} for p, v in costs.items()
         }
-        occ_sums = {p: np.zeros(cfg.horizon + 1, dtype=np.int64) for p in cfg.policies}
-        report = harness._build_report(cfg, sampled, occ_sums, values)
+        occupancy = np.zeros((len(cfg.policies), cfg.horizon + 1), dtype=np.int64)
+        by_cost = {
+            c: np.stack([values[p][c] for p in cfg.policies]) for c in cfg.cost_functions
+        }
+        report = harness._build_report(cfg, sampled, occupancy, by_cost)
 
         reps = cfg.replications
         intervals = clopper_pearson_table(reps)
@@ -491,8 +531,9 @@ class TestCsvShapes:
     def test_trace_header_and_rows(self):
         cfg = make_config(horizon=16, replications=2, record_interval=8,
                           policies=("mwm", "fixed_order"))
-        report, records = run_experiment(cfg)
-        lines = list(trace_csv_lines(cfg, records))
+        report, trace = run_experiment(cfg)
+        records = trace_records(cfg, trace)
+        lines = list(trace_csv_lines(cfg, trace))
         assert lines[0] == (
             "replication,slot,policy,cost_name,cost_value,mw_index,x_0,x_1,x_2"
         )
@@ -500,6 +541,25 @@ class TestCsvShapes:
         assert len(lines) - 1 == len(records) * len(cfg.cost_functions)
         for line in lines[1:]:
             assert len(line.split(",")) == 6 + cfg.params.n_queues
+
+    def test_trace_must_match_the_config(self):
+        cfg = make_config(horizon=16, replications=2, record_interval=8)
+        trace = run_experiment(cfg)[1]
+        assert len(list(trace_csv_lines(cfg, trace))) == 1 + 2 * 4 * 2 * 2
+        others = [
+            make_config(horizon=16, replications=3, record_interval=8),
+            make_config(horizon=16, replications=2, record_interval=4),
+            make_config(horizon=16, replications=2, record_interval=8,
+                        policies=("mwm", "fixed_order")),
+            make_config(params=SystemParams(4, 2, 0.5, 0.25), horizon=16,
+                        replications=2, record_interval=8),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="do not match the config"):
+                next(trace_csv_lines(other, trace))
+        short = engine.Block(trace.occupancy, trace.states, trace.mw_index[:, :1])
+        with pytest.raises(ValueError, match="do not match the config"):
+            next(trace_csv_lines(cfg, short))
 
     def test_dominance_header(self):
         cfg = make_config(horizon=8, replications=3)
@@ -514,7 +574,8 @@ class TestCsvShapes:
             record_interval=1, policies=("mwm", "greedy_lcq", "fixed_order"),
             cost_functions=("total_occupancy", "sum_of_squares"),
         )
-        report, records = run_experiment(cfg)
+        report, trace_block = run_experiment(cfg)
+        records = trace_records(cfg, trace_block)
         reps = cfg.replications
         intervals = clopper_pearson_table(reps)
 
@@ -544,7 +605,7 @@ class TestCsvShapes:
                         rows.append(f"{slot},{r},{p},{k / reps!r},{lo!r},{hi!r}")
             expected[f"dominance_{cost}.csv"] = rows
 
-        write_lines(tmp_path / "trace.csv", trace_csv_lines(cfg, records))
+        write_lines(tmp_path / "trace.csv", trace_csv_lines(cfg, trace_block))
         for cost in cfg.cost_functions:
             write_lines(tmp_path / f"dominance_{cost}.csv", dominance_csv_lines(report, cost))
         # the largest file spans several write batches
