@@ -180,6 +180,7 @@ def build_sim_config(args: argparse.Namespace) -> tuple[harness.SimConfig, dict[
         record_interval=values.get("record_interval", 1),
         initial_state=values["initial_state"],
     )
+    args.sim_config = config  # for main's message if the run runs out of memory
     return config, values
 
 
@@ -353,6 +354,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        config = getattr(args, "sim_config", None)
+        size = "" if config is None else (
+            f" at horizon {config.horizon} with {config.replications} replications;"
+            " lower --horizon or --replications"
+        )
+        print(f"error: out of memory{size}", file=sys.stderr)
         return 2
 
 

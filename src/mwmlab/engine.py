@@ -20,9 +20,14 @@ edges under its own integer edge weights:
 
 Each baseline is the greedy maximal matching by its edge key, and distinct
 power-of-two weights make that matching the unique maximum. Small systems
-score every row against a table of all matchings; larger ones run ``mwm``
-rows through ``matching.max_weight_servers`` and baseline rows through a
-batched greedy pass.
+score every row against a table of all matchings. Larger ones run every row
+through a batched greedy pass, ``mwm`` rows with ``fixed_order``'s keys, and
+that pass certifies most ``mwm`` rows: no matching weighs more than the sum
+of x_n over the serviceable queues, a matching that serves them all weighs
+exactly that, and the canonical optimum has no zero-weight edge, so it then
+serves exactly the queues the greedy matching serves. Only the ``mwm`` rows
+whose greedy matching leaves a serviceable queue unserved go through
+``matching.max_weight_servers``.
 
 Each chunk of slots is advanced in two passes. The speculative pass splits
 it into S segments of L slots and advances them all in lockstep, one batch
@@ -303,12 +308,20 @@ class _TableKernel:
 
 
 class _SplitKernel:
-    """``mwm`` rows by the batched bitmask DP, baseline rows by a greedy pass."""
+    """Every row by a batched greedy pass; ``mwm`` rows it cannot certify by the DP.
+
+    ``mwm`` rows take ``fixed_order``'s edge keys. A greedy matching that
+    serves every serviceable queue certifies its row's ``mwm`` decision:
+    1. no matching weighs more than the sum of x_n over the serviceable queues;
+    2. a matching that serves them all weighs exactly that, so it is maximum;
+    3. the canonical optimum has no zero-weight edge, so it serves exactly
+       the serviceable queues too, and ``served`` is all the engine reads.
+    Only the other ``mwm`` rows go to ``matching.max_weight_servers``.
+    """
 
     def __init__(self, n: int, k: int, names: Sequence[str]):
+        self.names = names
         self.mwm = names.index(MWM) if MWM in names else None
-        self.baselines = [(p, name) for p, name in enumerate(names) if name != MWM]
-        self.baseline_rows = [p for p, _ in self.baselines]
         self.edges = n * k
         self.picks = min(n, k)
         self.queue_of, server_of = np.divmod(np.arange(n * k), k)
@@ -319,22 +332,21 @@ class _SplitKernel:
 
     def __call__(self, x: np.ndarray, c: np.ndarray, ranks) -> np.ndarray:
         serv = (x > 0)[..., None] & c
-        served = np.zeros_like(x)
+        keys = np.stack(
+            [self._keys(name, x[p], serv[p], ranks) for p, name in enumerate(self.names)]
+        )
+        keys = np.where(serv.reshape(keys.shape), keys, self.edges)
+        served = self._greedy(keys.reshape(-1, self.edges)).reshape(x.shape)
         if self.mwm is not None:
-            served[self.mwm] = max_weight_servers(x[self.mwm, :, :, None] * c) >= 0
-        if self.baselines:
-            keys = np.stack(
-                [self._keys(name, x[p], serv[p], ranks) for p, name in self.baselines]
-            )
-            rows = self.baseline_rows
-            keys = np.where(serv[rows].reshape(keys.shape), keys, self.edges)
-            picked = self._greedy(keys.reshape(-1, self.edges))
-            served[rows] = picked.reshape(len(rows), *x.shape[1:])
+            m = self.mwm
+            uncertified = (serv[m].any(axis=2) > served[m]).any(axis=1)
+            w = x[m, uncertified, :, None] * c[uncertified]
+            served[m, uncertified] = max_weight_servers(w) >= 0
         return served
 
     def _keys(self, name: str, x: np.ndarray, serv: np.ndarray, ranks) -> np.ndarray:
-        """(B, NK) insertion keys of one baseline; smaller goes first."""
-        if name == FIXED_ORDER:
+        """(B, NK) insertion keys of one policy's rows; smaller goes first."""
+        if name in (FIXED_ORDER, MWM):
             return np.broadcast_to(np.arange(self.edges), (len(x), self.edges))
         if name == GREEDY_LCQ:
             key = _ranks(-x)[:, :, None] * len(self.servers)

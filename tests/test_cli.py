@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from test_acceptance import DESK_SCALE
 
-from mwmlab import cli
+from mwmlab import cli, harness
 from mwmlab.policies import POLICY_NAMES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -361,8 +361,6 @@ class TestAuditOrder:
     def test_out_dir_under_a_regular_file_fails_before_the_audit(
         self, capsys, tmp_path, monkeypatch
     ):
-        from mwmlab import harness
-
         def no_audit(config, baseline):
             raise AssertionError("the audit ran before its directory was made")
 
@@ -418,6 +416,20 @@ class TestSimulateFiles:
         )
         assert "simulate:" not in out
         assert not out_dir.exists()
+
+    def test_run_out_of_memory_is_an_error(self, capsys, tmp_path, monkeypatch):
+        def no_memory(config, max_workers=1):
+            raise MemoryError
+
+        monkeypatch.setattr(harness, "run_experiment", no_memory)
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert err == (
+            "error: out of memory at horizon 32 with 4 replications;"
+            " lower --horizon or --replications\n"
+        )
 
     def test_policies_without_mwm_fail_before_the_out_dir(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

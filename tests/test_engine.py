@@ -358,6 +358,79 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
+def count_dp_rows(monkeypatch):
+    """A list that gets the row count of every ``engine.max_weight_servers`` call."""
+    rows = []
+
+    def counted(w, _solve=engine.max_weight_servers):
+        rows.append(len(w))
+        return _solve(w)
+
+    monkeypatch.setattr(engine, "max_weight_servers", counted)
+    return rows
+
+
+def certify(x, c, monkeypatch):
+    """Check the split kernel's ``mwm`` rows of ``x``, ``c`` against the DP.
+
+    Every policy sees the same (B, N) states, so ``fixed_order``'s rows are
+    the greedy matchings of the ``mwm`` rows; the rows they do not certify,
+    and only those, must reach the DP. Returns the certified rows.
+    """
+    names = POLICY_NAMES
+    ranks = engine._ranks(np.random.default_rng(len(x)).random((len(x), c[0].size)))
+    dp_rows = count_dp_rows(monkeypatch)
+    rows = np.broadcast_to(x, (len(names), *x.shape)).copy()
+    served = engine._SplitKernel(*c.shape[1:], names)(rows, c, ranks)
+    optimum = matching.max_weight_servers(x[:, :, None] * c) >= 0
+    assert np.array_equal(served[names.index("mwm")], optimum)
+    serviceable = (x > 0) & c.any(axis=2)
+    certified = (served[names.index("fixed_order")] == serviceable).all(axis=1)
+    assert sum(dp_rows) == (~certified).sum()
+    return certified
+
+
+@pytest.mark.parametrize("n,k", [(8, 8), (6, 5), (10, 3), (3, 16)])
+def test_greedy_pass_certifies_mwm_rows(n, k, monkeypatch):
+    gen = np.random.default_rng(100 * n + k)
+    # each row its own shares of nonempty queues and of connected edges, the
+    # latter below 2 / K, so rows with and without a matching that serves
+    # every serviceable queue both occur
+    x = (gen.random((400, n)) < gen.random((400, 1))) * gen.integers(1, 4, (400, n))
+    c = gen.random((400, n, k)) < gen.random((400, 1, 1)) * 2 / k
+    certified = certify(x, c, monkeypatch)
+    assert certified.any() and not certified.all()
+
+
+def test_no_row_is_certified_when_queues_outnumber_servers(monkeypatch):
+    # every queue nonempty and connected to every server, N > K
+    x = np.random.default_rng(5).integers(1, 4, (200, 10))
+    assert not certify(x, np.ones((200, 10, 3), dtype=bool), monkeypatch).any()
+
+
+def test_every_row_is_certified_when_every_queue_can_be_served(monkeypatch):
+    # N <= K and every edge connected: fixed_order serves every nonempty queue
+    x = np.random.default_rng(6).integers(0, 4, (200, 8))
+    assert certify(x, np.ones((200, 8, 8), dtype=bool), monkeypatch).all()
+
+
+def test_few_wide_rows_reach_the_dp(monkeypatch):
+    # the wide benchmark configuration
+    cfg = SimConfig(
+        params=SystemParams(8, 8, 0.5, 0.5),
+        horizon=400,
+        replications=2,
+        seed=42,
+        policies=("mwm", "random_maximal", "greedy_lcq", "fixed_order"),
+        record_interval=4,
+    )
+    calls = count_kernel_calls(monkeypatch)
+    dp_rows = count_dp_rows(monkeypatch)
+    assert_matches_reference(cfg, range(1, cfg.horizon + 1), DEFAULT_SEGMENTING, monkeypatch)
+    mwm_rows = sum(calls) // len(cfg.policies)
+    assert sum(dp_rows) < 0.2 * mwm_rows, (sum(dp_rows), mwm_rows)
+
+
 @pytest.mark.parametrize("limit", [0, 1 << 30])
 # stable; overloaded although N lambda < min(N, K), so segments still run
 @pytest.mark.parametrize("connect,arrive", [(0.5, 0.2), (0.3, 0.45)])
