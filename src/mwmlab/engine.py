@@ -21,12 +21,15 @@ edges under its own integer edge weights:
 Each baseline is the greedy maximal matching by its edge key, and distinct
 power-of-two weights make that matching the unique maximum. Small systems
 score every row against a table of all matchings. Larger ones run every row
-through a batched greedy pass, ``mwm`` rows with ``fixed_order``'s keys, and
-that pass certifies most ``mwm`` rows: no matching weighs more than the sum
-of x_n over the serviceable queues, a matching that serves them all weighs
-exactly that, and the canonical optimum has no zero-weight edge, so it then
-serves exactly the queues the greedy matching serves. Only the ``mwm`` rows
-whose greedy matching leaves a serviceable queue unserved go through
+through a batched greedy pass, ``mwm`` rows with ``fixed_order``'s keys. An
+``mwm`` row is settled whenever some matching serves every serviceable
+queue: no matching weighs more than the sum of x_n over the serviceable
+queues, a matching that serves them all weighs exactly that, and the
+canonical optimum has no zero-weight edge, so it then serves exactly the
+serviceable queues. The greedy matching shows most rows that such a
+matching exists; for the rest Hall's condition decides it exactly (Hall,
+1935): no set of servers may hold all the servers of more queues than it has
+servers. Only the ``mwm`` rows that fail it go through
 ``matching.max_weight_servers``.
 
 Each chunk of slots is advanced in two passes. The speculative pass splits
@@ -310,13 +313,19 @@ class _TableKernel:
 class _SplitKernel:
     """Every row by a batched greedy pass; ``mwm`` rows it cannot certify by the DP.
 
-    ``mwm`` rows take ``fixed_order``'s edge keys. A greedy matching that
-    serves every serviceable queue certifies its row's ``mwm`` decision:
+    ``mwm`` rows take ``fixed_order``'s edge keys. Any matching that serves
+    every serviceable queue certifies its row's ``mwm`` decision:
     1. no matching weighs more than the sum of x_n over the serviceable queues;
     2. a matching that serves them all weighs exactly that, so it is maximum;
     3. the canonical optimum has no zero-weight edge, so it serves exactly
        the serviceable queues too, and ``served`` is all the engine reads.
-    Only the other ``mwm`` rows go to ``matching.max_weight_servers``.
+    The greedy matching is such a matching for most rows. For the others,
+    Hall's theorem decides whether one exists: it does exactly when no
+    server subset T holds all the servers of more than |T| serviceable
+    queues, since those queues would need more than |T| servers inside T.
+    Each serviceable queue's servers form a K-bit mask, and a histogram of
+    the masks summed over subsets counts the queues inside every T. Only the
+    ``mwm`` rows that fail this test go to ``matching.max_weight_servers``.
     """
 
     def __init__(self, n: int, k: int, names: Sequence[str]):
@@ -329,6 +338,12 @@ class _SplitKernel:
             server_of[:, None] == server_of
         )
         self.servers = np.arange(k)
+        self.bits = 1 << self.servers
+        # |T| for every server subset T, by doubling: the subsets holding
+        # server s are those without it plus one
+        self.sizes = np.zeros(1, dtype=np.int8)
+        for _ in range(k):
+            self.sizes = np.concatenate([self.sizes, self.sizes + 1])
 
     def __call__(self, x: np.ndarray, c: np.ndarray, ranks) -> np.ndarray:
         serv = (x > 0)[..., None] & c
@@ -339,10 +354,39 @@ class _SplitKernel:
         served = self._greedy(keys.reshape(-1, self.edges)).reshape(x.shape)
         if self.mwm is not None:
             m = self.mwm
-            uncertified = (serv[m].any(axis=2) > served[m]).any(axis=1)
-            w = x[m, uncertified, :, None] * c[uncertified]
-            served[m, uncertified] = max_weight_servers(w) >= 0
+            serviceable = serv[m].any(axis=2)
+            open_rows = np.flatnonzero((serviceable > served[m]).any(axis=1))
+            if len(open_rows):
+                hall = self._hall(serv[m, open_rows])
+                served[m, open_rows[hall]] = serviceable[open_rows[hall]]
+                dp = open_rows[~hall]
+                served[m, dp] = max_weight_servers(x[m, dp, :, None] * c[dp]) >= 0
         return served
+
+    def _hall(self, serv: np.ndarray) -> np.ndarray:
+        """Whether a matching serves every serviceable queue of each (B, N, K) row.
+
+        By Hall's theorem it does exactly when no server subset T holds the
+        servers of more than |T| serviceable queues.
+        """
+        masks = serv.dot(self.bits)
+        # the DP's tail-table budget bounds the (rows, 2^K) count table too
+        block = max(1, matching._TAIL_CELLS >> len(self.servers))
+        return np.concatenate(
+            [self._hall_block(masks[i : i + block]) for i in range(0, len(masks), block)]
+        )
+
+    def _hall_block(self, masks: np.ndarray) -> np.ndarray:
+        """Hall's condition for each row of the (B, N) K-bit server masks."""
+        b, k = len(masks), len(self.servers)
+        shift = np.arange(b)[:, None] << k
+        counts = np.bincount((masks + shift).ravel(), minlength=b << k).reshape(b, -1)
+        counts[:, 0] = 0  # the queues with no serviceable edge
+        for s in range(k):
+            # each subset holding server s gains the count of that subset without it
+            v = counts.reshape(b, -1, 2, 1 << s)
+            v[:, :, 1] += v[:, :, 0]
+        return (counts <= self.sizes).all(axis=1)
 
     def _keys(self, name: str, x: np.ndarray, serv: np.ndarray, ranks) -> np.ndarray:
         """(B, NK) insertion keys of one policy's rows; smaller goes first."""

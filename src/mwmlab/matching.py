@@ -26,8 +26,9 @@ _INT64_MAX = 2**63 - 1
 
 # Cells of the (N + 1, rows, 2^K) tail table that one block of rows may use,
 # 1 MiB of int64; a row larger than that (K >= 15) is a block of its own.
-# The engine passes only the mwm rows its greedy pass cannot certify: at
-# N = K = 8 about 2 of a call's 22 or so, each row 9 x 256 cells.
+# The engine passes only the mwm rows where no matching serves every
+# serviceable queue, and bounds its Hall count table, 2^K cells a row, by the
+# same budget.
 _TAIL_CELLS = 1 << 17
 
 
