@@ -139,9 +139,10 @@ def register_cost_function(name: str, fn: Callable[[Sequence[int]], int]) -> Non
 
 # --- balancing server reallocations ---------------------------------------
 
-# Cells of one sweep block's (instance, matching, matching) arrays; a shape
-# whose single instance is larger runs one instance per block.
-_BLOCK_CELLS = 1 << 13
+# Narrow (int32 or bool) cells of one sweep block's (matching, matching,
+# instance) arrays; a shape whose single instance is larger runs one
+# instance per block.
+_BLOCK_CELLS = 1 << 15
 
 
 def _reallocation_kernel(
@@ -153,31 +154,39 @@ def _reallocation_kernel(
     ``table`` comes from ``matching_table``. Returns the (B, M) matching
     weights and two (B, M, M) masks whose entry [b, i, j] says that matching
     ``j`` is a C1 or a C2 reallocation of matching ``i`` in instance ``b``.
+    They are views of arrays laid out with the instance axis innermost, so
+    reductions over the matching axes run along contiguous rows.
 
-    Matching ``i`` serves a 0/1 vector of queues, so the post-service vectors
-    differ entrywise by -1, 0 or 1, and the entries that rise or fall from
-    ``i``'s outcome to ``j``'s are counted by products of the service
-    vectors, with no (B, M, M, N) array. C1: none rises and some fall. C2:
-    exactly one rises, exactly one falls, and in ``i``'s outcome the falling
-    entry exceeds the rising one by at least 2, so that the interchange does
-    not overshoot (with a gap of exactly 1 the two outcomes are a
-    transposition, which is neither C1 nor C2).
+    Matching ``i`` serves a set of queues, held as an int32 bitmask ``s_i``
+    (N <= 25), so the post-service vectors differ entrywise by -1, 0 or 1:
+    the entries in ``s_i & ~s_j`` rise from ``i``'s outcome to ``j``'s and
+    those in ``s_j & ~s_i`` fall. C1: none rises and some fall. C2: exactly
+    one rises, exactly one falls, and in ``i``'s outcome the falling entry
+    exceeds the rising one by at least 2, so that the interchange does not
+    overshoot (with a gap of exactly 1 the two outcomes are a transposition,
+    which is neither C1 nor C2).
     """
     matched, server = table
-    conn = c[:, np.arange(x.shape[1]), server] * matched  # (B, M, N)
-    weights = (conn * x[:, None, :]).sum(axis=2)
-    served = ((conn != 0) & (x[:, None, :] > 0)).astype(np.int64)
-    after = x[:, None, :] - served
-    served_t = served.transpose(0, 2, 1)
-    both = served @ served_t
-    count = served.sum(axis=2)
-    rises = count[:, :, None] - both  # served by i, not by j
-    falls = count[:, None, :] - both  # served by j, not by i
-    # with one rise and one fall: after_i[falling] - after_i[rising]
-    gap = after @ served_t - (after * served).sum(axis=2)[:, :, None]
-    c1 = (rises == 0) & (falls > 0)
-    c2 = (rises == 1) & (falls == 1) & (gap >= 2)
-    return weights, c1, c2
+    n_queues = x.shape[1]
+    x_t = x.T[None]  # (1, N, B)
+    conn = c.transpose(1, 2, 0)[np.arange(n_queues), server] * matched[:, :, None]
+    weights = (conn * x_t).sum(axis=1)  # (M, B)
+    served = (conn != 0) & (x_t > 0)  # (M, N, B)
+    bit = 1 << np.arange(n_queues, dtype=np.int32)
+    s = (served * bit[:, None]).sum(axis=1, dtype=np.int32)
+    rises = s[:, None] & ~s  # (M, M, B): served by i, not by j
+    falls = s & ~s[:, None]  # served by j, not by i
+    c1 = (rises == 0) & (falls != 0)
+    c2 = (rises != 0) & (falls != 0)
+    c2 &= ((rises & (rises - 1)) == 0) & ((falls & (falls - 1)) == 0)
+    cand = np.flatnonzero(c2)
+    i, b = cand // c2[0].size, cand % len(x)
+    # frexp writes a single bit 2**q as 0.5 * 2**(q + 1)
+    up = np.frexp(rises.ravel()[cand])[1] - 1
+    down = np.frexp(falls.ravel()[cand])[1] - 1
+    after = x_t - served
+    c2.ravel()[cand] = after[i, down, b] - after[i, up, b] >= 2
+    return weights.T, c1.transpose(2, 0, 1), c2.transpose(2, 0, 1)
 
 
 def _distances_to_optimum(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -285,34 +294,39 @@ def _sweep_shape(
         opt = mw.max(axis=1)
         dist = _distances_to_optimum(mw, edges)
         report.instances += len(bits) * len(matchings)
-        report.reallocation_pairs += int(edges.sum())
+        report.reallocation_pairs += np.count_nonzero(edges)
 
         def inst(b: int) -> str:
             c_b = tuple(map(tuple, c[b].tolist()))
             return f"N={n_queues} K={n_servers} x={tuple(x[b].tolist())} c={c_b}"
 
-        ws, opts = mw.tolist(), opt.tolist()
         w = x[:, :, None] * c
         servers = max_weight_servers(w)
         solved = (w * (servers[:, :, None] == np.arange(n_servers))).sum(axis=(1, 2))
         for b in np.flatnonzero(solved != opt):
             pairs = tuple((q, s) for q, s in enumerate(servers[b].tolist()) if s >= 0)
             report.solver_mismatches.append(f"{inst(b)} solver={pairs}")
-        for b, i, j in zip(*np.nonzero(edges & (mw[:, None, :] <= mw[:, :, None]))):
+        for b, i, j in _cells(edges & (mw[:, None, :] <= mw[:, :, None])):
             report.weight_increase_violations.append(
                 f"{inst(b)} m={matchings[i]} -> {matchings[j]} "
-                f"weight {ws[b][i]} -> {ws[b][j]}"
+                f"weight {mw[b, i]} -> {mw[b, j]}"
             )
         n_out = edges.sum(axis=2)
-        for b, i in zip(*np.nonzero((mw < opt[:, None]) != (n_out > 0))):
+        for b, i in _cells((mw < opt[:, None]) != (n_out > 0)):
             report.biconditional_violations.append(
-                f"{inst(b)} m={matchings[i]} weight={ws[b][i]} opt={opts[b]} "
+                f"{inst(b)} m={matchings[i]} weight={mw[b, i]} opt={opt[b]} "
                 f"reallocations={n_out[b, i]}"
             )
-        for b, i in zip(*np.nonzero(dist < 0)):
+        for b, i in _cells(dist < 0):
             report.unreachable_optimum.append(
-                f"{inst(b)} m={matchings[i]} weight={ws[b][i]} opt={opts[b]}"
+                f"{inst(b)} m={matchings[i]} weight={mw[b, i]} opt={opt[b]}"
             )
+
+
+def _cells(mask: np.ndarray) -> Iterable[tuple[int, ...]]:
+    """Indices of the true cells of ``mask`` in C order, as ``np.nonzero``
+    gives them; on a multi-axis mask it is about ten times slower."""
+    return zip(*np.unravel_index(np.flatnonzero(mask), mask.shape))
 
 
 def format_sweep_report(report: LemmaSweepReport) -> str:

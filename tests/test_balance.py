@@ -10,6 +10,7 @@ the scalar ``balancing_condition`` and ``matching_weight`` of
 """
 
 import random
+import tracemalloc
 from collections import deque
 from itertools import product
 
@@ -314,6 +315,28 @@ class TestReallocationGraph:
                 ]
                 assert edges[i] == [(j, cond) for j, cond in conds if cond]
 
+    @pytest.mark.parametrize("n, k, count", [(25, 1, 16), (12, 2, 6)])
+    def test_wide_masks_match_scalar_classifier(self, n, k, count):
+        # one batch of seeded random instances; queue n - 1 is mask bit n - 1
+        rnd = np.random.default_rng(n * k)
+        x = rnd.integers(0, 5, (count, n))
+        c = rnd.integers(0, 2, (count, n, k))
+        matchings = list(enumerate_matchings(n, k))
+        weights, c1, c2 = balance._reallocation_kernel(x, c, matching_table(matchings, n))
+        top_interchanges = 0
+        for b in range(count):
+            x_b, c_b = x[b].tolist(), c[b].tolist()
+            served = [serve(x_b, c_b, m) for m in matchings]
+            assert weights[b].tolist() == [matching_weight(x_b, c_b, m) for m in matchings]
+            conds = [[balancing_condition(base, other) for other in served] for base in served]
+            assert c1[b].tolist() == [[cond == CONDITION_C1 for cond in row] for row in conds]
+            assert c2[b].tolist() == [[cond == CONDITION_C2 for cond in row] for row in conds]
+            top_interchanges += sum(
+                cond == CONDITION_C2 and served[i][-1] != served[j][-1]
+                for i, row in enumerate(conds) for j, cond in enumerate(row)
+            )
+        assert top_interchanges > 0
+
 
 class TestDistanceToMwm:
     def test_matches_forward_search_oracle(self):
@@ -354,12 +377,67 @@ class TestSweep:
         return [line for line in text.splitlines() if "elapsed seconds" not in line]
 
     def test_block_size_does_not_change_the_report(self, monkeypatch):
+        # at (3, 2, 1) the shipped block size splits one x's 64 connectivities
+        shipped = balance._BLOCK_CELLS
+        for ranges, instances in (((2, 2, 2), 1164), ((3, 2, 1), 7440)):
+            reports = []
+            for cells in (1, shipped, 1 << 30):
+                monkeypatch.setattr(balance, "_BLOCK_CELLS", cells)
+                reports.append(self._report_without_time(*ranges))
+            assert reports[0] == reports[1] == reports[2]
+            line = f"  instances checked (state, connectivity, matching): {instances}"
+            assert line in reports[0]
+
+    def test_violations_keep_instance_order_across_blocks(self, monkeypatch):
+        kernel = balance._reallocation_kernel
+
+        def drop_edges_of_two_instances(x, c, table):
+            weights, c1, c2 = kernel(x, c, table)
+            if x.shape[1] == 2:
+                hit = (x == (1, 2)).all(axis=1) | (x == (2, 1)).all(axis=1)
+                hit &= c.all(axis=(1, 2))
+                c1[hit] = c2[hit] = False
+            return weights, c1, c2
+
+        monkeypatch.setattr(balance, "_reallocation_kernel", drop_edges_of_two_instances)
+        # N=2, K=1 has 3 matchings and 4 connectivities an x, so at 36 cells
+        # a block holds 4 instances: x=(1, 2) with both queues connected is
+        # instance 23, in block 5, and x=(2, 1) is instance 31, in block 7
         reports = []
-        for cells in (1, 1 << 30):
+        for cells in (1, 36, 1 << 30):
             monkeypatch.setattr(balance, "_BLOCK_CELLS", cells)
-            reports.append(self._report_without_time(2, 2, 2))
-        assert reports[0] == reports[1]
-        assert "  instances checked (state, connectivity, matching): 1164" in reports[0]
+            lines = self._report_without_time(2, 1, 2)
+            reports.append([line for line in lines if "VIOLATION" in line])
+        assert reports[0] == reports[1] == reports[2]
+        first = "N=2 K=1 x=(1, 2) c=((1,), (1,))"
+        second = "N=2 K=1 x=(2, 1) c=((1,), (1,))"
+        assert reports[0] == [
+            f"  VIOLATION [biconditional] {first} m=() weight=0 opt=2 reallocations=0",
+            f"  VIOLATION [biconditional] {first} m=((0, 0),) weight=1 opt=2 "
+            "reallocations=0",
+            f"  VIOLATION [biconditional] {second} m=() weight=0 opt=2 reallocations=0",
+            f"  VIOLATION [biconditional] {second} m=((1, 0),) weight=1 opt=2 "
+            "reallocations=0",
+            f"  VIOLATION [unreachable] {first} m=() weight=0 opt=2",
+            f"  VIOLATION [unreachable] {first} m=((0, 0),) weight=1 opt=2",
+            f"  VIOLATION [unreachable] {second} m=() weight=0 opt=2",
+            f"  VIOLATION [unreachable] {second} m=((1, 0),) weight=1 opt=2",
+        ]
+
+    def test_memory_does_not_grow_with_the_range(self):
+        # the largest shape, N=2 and K=2, has 7 matchings and 16 connectivities
+        # an x, so even the smaller range's 81 x's take more than one block
+        assert 81 * 16 > balance._BLOCK_CELLS // 7**2
+        sweep_lemmas(2, 2, 1)
+        peaks = []
+        for max_x in (8, 16):
+            tracemalloc.start()
+            try:
+                sweep_lemmas(2, 2, max_x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_instance_without_reallocations_is_reported(self, monkeypatch):
         kernel = balance._reallocation_kernel
