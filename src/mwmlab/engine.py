@@ -59,7 +59,8 @@ grow, and segments started empty never coalesce.
 
 Each chunk's draws are (slots, R, values) in slot order: step j of segment
 s reads slot s L + j. A block keeps the states and matching weights at the
-slots its caller names, so each reader asks for the slots it needs.
+slots its caller names, so each reader asks for the slots it needs, and of
+the rest only two occupancy sums: its memory does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -100,13 +101,13 @@ _UNSERVICEABLE = -(2.0**58)
 class Block:
     """What a block of replications did under every simulated policy.
 
-    ``occupancy`` is (P, T + 1), total occupancy summed over the block's
-    replications. ``states`` is (P, R, S, N) and ``mw_index`` (P, R, S), the
-    states after the S slots the caller kept and the weight x_n c_nk of the
-    matching chosen at each of them.
+    ``quarter_sums`` is (P, 2), total occupancy summed over the block's
+    replications and the slots (T//2, 3T//4] and (3T//4, T]. ``states`` is
+    (P, R, S, N) and ``mw_index`` (P, R, S), the states after the S slots the
+    caller kept and the weight x_n c_nk of the matching chosen at each of them.
     """
 
-    occupancy: np.ndarray
+    quarter_sums: np.ndarray
     states: np.ndarray
     mw_index: np.ndarray
 
@@ -135,51 +136,61 @@ def simulate(
         segments = max(1, min(_SPECULATIVE_ROWS // rows, chunk // _MIN_SEGMENT))
     length = -(-chunk // segments)
     chunk = segments * length
-    kinds = [(rng.STREAM_CONNECTIVITY, n * k), (rng.STREAM_ARRIVALS, n)]
+    reads = [
+        (rng.STREAM_CONNECTIVITY, n * k, lambda u: u < params.connect_prob, bool),
+        (rng.STREAM_ARRIVALS, n, lambda u: u < params.arrival_prob, bool),
+    ]
     if RANDOM_MAXIMAL in names:
-        kinds.append((rng.STREAM_POLICY, n * k))
+        # ranks in the narrowest type that holds N·K, _SplitKernel's unserviceable key
+        fits = (t for t in (np.int8, np.int16, np.int32) if n * k <= np.iinfo(t).max)
+        reads.append((rng.STREAM_POLICY, n * k, _ranks, next(fits)))
+    # each replication's draws are converted as they are read, into buffers
+    # that every chunk overwrites, so no chunk of doubles is kept
     streams = [
         [rng.slot_chunks(config.seed, r, kind, values, chunk) for r in replications]
-        for kind, values in kinds
+        for kind, values, _, _ in reads
     ]
+    buffers = [np.empty((chunk, shape[1], values), dtype) for _, values, _, dtype in reads]
+    draws = [buffers[0].reshape(chunk, -1, n, k), *buffers[1:]]
 
     # hist[0] is the state before the chunk, hist[i] the state after its slot i
     hist = np.empty((chunk + 1, *shape), dtype=np.int64)
     hist[0] = config.start_state()
-    occupancy = np.empty((shape[0], horizon + 1), dtype=np.int64)
-    occupancy[:, 0] = hist[0].sum(axis=(1, 2))
+    # quarter w holds the slots (bounds[w], bounds[w + 1]]
+    bounds = np.array([horizon // 2, 3 * horizon // 4, horizon])
+    quarter_sums = np.zeros((shape[0], 2), dtype=np.int64)
     slots = np.asarray(slots, dtype=np.int64)
     states = np.empty((*shape[:2], len(slots), n), dtype=np.int64)
     mw_index = np.empty(states.shape[:3], dtype=np.int64)
 
     for first in range(1, horizon + 1, chunk):
         size = min(chunk, horizon + 1 - first)
-        conn = _next_chunk(streams[0]) < params.connect_prob
-        arrivals = _next_chunk(streams[1]) < params.arrival_prob
-        draws = [conn.reshape(chunk, -1, n, k), arrivals]
-        if len(streams) > 2:
-            draws.append(_ranks(_next_chunk(streams[2])))
+        for (_, _, convert, _), chunks, out in zip(reads, streams, buffers):
+            for r, replication in enumerate(chunks):
+                out[:, r] = convert(next(replication))
         _advance(kernel, hist, draws, size, length)
 
-        occupancy[:, first : first + size] = hist[1 : size + 1].sum(axis=(2, 3)).T
+        # the state after slot t is hist[t - first + 1]
+        cut = np.clip(bounds - first + 2, 1, size + 1)
+        for w in range(2):
+            quarter_sums[:, w] += hist[cut[w] : cut[w + 1]].sum(axis=(0, 2, 3))
         lo, hi = np.searchsorted(slots, [first, first + size])
         if lo < hi:
             pos = slots[lo:hi] - first + 1
             before = hist[pos - 1]
-            served = before + arrivals[pos - 1, None] - hist[pos]
+            served = before + draws[1][pos - 1, None] - hist[pos]
             states[:, :, lo:hi] = hist[pos].transpose(1, 2, 0, 3)
             mw_index[:, :, lo:hi] = (before * served).sum(axis=3).transpose(1, 2, 0)
         hist[0] = hist[size]
 
-    return Block(occupancy, states, mw_index)
+    return Block(quarter_sums, states, mw_index)
 
 
 def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> None:
     """Fill ``hist[1 : size + 1]`` from the exact ``hist[0]``, ``length`` slots a segment.
 
     ``draws`` are the chunk's connectivities, arrivals and, with
-    ``random_maximal``, draw ranks, each (slots, R, ...) as ``_next_chunk``
-    lays them out.
+    ``random_maximal``, draw ranks, each (slots, R, ...) in slot order.
     """
     p, r, n = hist.shape[1:]
     segments = -(-size // length)
@@ -238,17 +249,13 @@ def _step(kernel, x: np.ndarray, conn: np.ndarray, arrivals: np.ndarray, ranks=N
     x += arrivals
 
 
-def _next_chunk(streams) -> np.ndarray:
-    """The next chunk of one stream kind, (slots, R, values) in slot order."""
-    return np.stack([next(s) for s in streams], axis=1)
-
-
 def _ranks(u: np.ndarray) -> np.ndarray:
     """Rank of each entry among its row's entries, under a stable sort.
 
-    The rank of a queue under (-x_n, n) is ``_ranks(-x)``.
+    The rank of a queue under (-x_n, n) is ``_ranks(-x)``. The engine ranks
+    each replication's draws apart, so this skips ``np.argsort``'s wrapper.
     """
-    return np.argsort(np.argsort(u, axis=-1, kind="stable"), axis=-1)
+    return u.argsort(axis=-1, kind="stable").argsort(axis=-1)
 
 
 def _draw_rank(serv: np.ndarray, ranks: np.ndarray) -> np.ndarray:

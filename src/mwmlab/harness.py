@@ -142,8 +142,6 @@ class DominanceReport:
     counts: dict[str, tuple[int, ...]]
     # per cost, per policy: mean cost at each sampled slot
     mean_costs: dict[str, dict[str, tuple[float, ...]]]
-    # per policy: mean total occupancy at every slot 0..horizon
-    mean_occupancy: dict[str, tuple[float, ...]]
     stability: dict[str, StabilityCheck]
     violations: tuple[DominanceViolation, ...]
 
@@ -194,7 +192,7 @@ def run_experiment(
                 blocks, [kept] * workers,
             ))
         trace = engine.Block(
-            sum(part.occupancy for part in parts),
+            sum(part.quarter_sums for part in parts),
             np.concatenate([part.states for part in parts], axis=1),
             np.concatenate([part.mw_index for part in parts], axis=1),
         )
@@ -208,12 +206,12 @@ def run_experiment(
         .reshape(at_sampled.shape[:3])
         for name in config.cost_functions
     }
-    report = _build_report(config, sampled, trace.occupancy, costs)
+    report = _build_report(config, sampled, trace.quarter_sums, costs)
     # when every kept slot is recorded, the trace is the block itself, not a copy
     if len(recorded) < len(kept):
         at = np.searchsorted(kept, recorded)
         trace = engine.Block(
-            trace.occupancy, trace.states[:, :, at], trace.mw_index[:, :, at]
+            trace.quarter_sums, trace.states[:, :, at], trace.mw_index[:, :, at]
         )
     return report, trace
 
@@ -319,17 +317,14 @@ def _percentile_99(flat: np.ndarray) -> int:
     return int(ordered[idx])
 
 
-def _build_report(config, sampled, occupancy, costs) -> DominanceReport:
-    """The report from the (P, T + 1) occupancy sums and the (P, R, sampled) costs."""
+def _build_report(config, sampled, quarter_sums, costs) -> DominanceReport:
+    """The report from the (P, 2) quarter occupancy sums and the (P, R, sampled) costs."""
     reps = config.replications
     horizon = config.horizon
 
-    mean_occupancy = {
-        p: tuple((occ / reps).tolist()) for p, occ in zip(config.policies, occupancy)
-    }
     stability = {
-        p: _stability_check(occ, reps, horizon)
-        for p, occ in zip(config.policies, occupancy)
+        p: _stability_check(sums, reps, horizon)
+        for p, sums in zip(config.policies, quarter_sums)
     }
 
     # the success count k of any point lies in 0..reps
@@ -371,19 +366,17 @@ def _build_report(config, sampled, occupancy, costs) -> DominanceReport:
         thresholds=thresholds,
         counts=counts,
         mean_costs=mean_costs,
-        mean_occupancy=mean_occupancy,
         stability=stability,
         violations=tuple(violations),
     )
 
 
-def _stability_check(occ_sum: np.ndarray, reps: int, horizon: int) -> StabilityCheck:
-    i3 = horizon // 2
-    i4 = (3 * horizon) // 4
+def _stability_check(sums: np.ndarray, reps: int, horizon: int) -> StabilityCheck:
+    i3, i4 = horizon // 2, (3 * horizon) // 4
     if i4 <= i3 or horizon <= i4:
         return StabilityCheck(0.0, 0.0, False)
-    third = float(occ_sum[i3 + 1 : i4 + 1].sum()) / (reps * (i4 - i3))
-    final = float(occ_sum[i4 + 1 : horizon + 1].sum()) / (reps * (horizon - i4))
+    third = float(sums[0]) / (reps * (i4 - i3))
+    final = float(sums[1]) / (reps * (horizon - i4))
     flagged = final > third * _GROWTH_FACTOR + _GROWTH_SLACK
     return StabilityCheck(third, final, flagged)
 

@@ -183,13 +183,11 @@ def test_criterion_6_degenerate_exactness():
         replications=3,
         seed=42,
         policies=("mwm", "random_maximal", "greedy_lcq", "fixed_order"),
+        record_interval=1,
     )
-    idle_report, _ = run_experiment(idle)
-    idle_ok = all(
-        v == 0.0
-        for policy in idle.policies
-        for v in idle_report.mean_occupancy[policy]
-    )
+    # the trace holds every slot's state
+    _, idle_trace = run_experiment(idle)
+    idle_ok = not idle_trace.states.any() and not idle_trace.quarter_sums.any()
     _report(
         6,
         collapse_ok and idle_ok,

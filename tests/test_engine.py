@@ -72,7 +72,7 @@ def experiment_slots(cfg):
 def same_blocks(a, b):
     return all(
         np.array_equal(getattr(a, f), getattr(b, f))
-        for f in ("occupancy", "states", "mw_index")
+        for f in ("quarter_sums", "states", "mw_index")
     )
 
 
@@ -102,27 +102,44 @@ def both_paths(n, k):
 BOUNDARY_CASE = (4, 2, 253, (1, 2, 31, 32, 33, 95, 96, 97, 191, 253))
 
 
+def quarter_sums(totals):
+    """The third and final quarter's sums of per-slot totals indexed 0..T."""
+    horizon = len(totals) - 1
+    i3, i4 = horizon // 2, 3 * horizon // 4
+    return [sum(totals[i3 + 1 : i4 + 1]), sum(totals[i4 + 1 :])]
+
+
 def assert_matches_reference(cfg, kept, segmentings, monkeypatch):
-    """Each kernel path under each (rows, slots) segmenting against ``reference_run``."""
+    """Each kernel path under each (rows, slots) segmenting against ``reference_run``.
+
+    The block must match at the ``kept`` slots, and a block that keeps every
+    slot must match the total occupancy at each of them and in both quarters.
+    """
     n, k = cfg.params.n_queues, cfg.params.n_servers
-    reference = {
-        (p, r): reference_run(cfg, p, r)
+    reps = range(cfg.replications)
+    reference = {(p, r): reference_run(cfg, p, r) for p in cfg.policies for r in reps}
+    # each policy's total occupancy at slots 0..T, summed over the replications
+    totals = {
+        p: np.array([reference[p, r][0] for r in reps]).sum(axis=(0, 2)).tolist()
         for p in cfg.policies
-        for r in range(cfg.replications)
     }
+    every_slot = range(1, cfg.horizon + 1)
     for limit, (rows, slots) in product(both_paths(n, k), segmentings):
         monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
         monkeypatch.setattr(engine, "_SPECULATIVE_ROWS", rows)
         monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
-        block = engine.simulate(cfg, cfg.policies, range(cfg.replications), kept)
+        block = engine.simulate(cfg, cfg.policies, reps, kept)
+        whole = block if list(kept) == list(every_slot) else (
+            engine.simulate(cfg, cfg.policies, reps, every_slot)
+        )
         for i, p in enumerate(cfg.policies):
-            occupancy = np.zeros(cfg.horizon + 1, dtype=np.int64)
-            for r in range(cfg.replications):
+            for r in reps:
                 states, weights = reference[p, r]
                 assert block.states[i, r].tolist() == [list(states[t]) for t in kept]
                 assert block.mw_index[i, r].tolist() == [weights[t - 1] for t in kept]
-                occupancy += [sum(x) for x in states]
-            assert block.occupancy[i].tolist() == occupancy.tolist()
+            assert whole.states[i].sum(axis=(0, 2)).tolist() == totals[p][1:]
+            assert block.quarter_sums[i].tolist() == quarter_sums(totals[p])
+            assert whole.quarter_sums[i].tolist() == quarter_sums(totals[p])
 
 
 DEFAULT_SEGMENTING = [(engine._SPECULATIVE_ROWS, engine._MIN_SEGMENT)]
@@ -312,7 +329,8 @@ def test_memory_stays_bounded_as_the_horizon_grows(monkeypatch):
             tracemalloc.stop()
 
     short, long = peak(1_000), peak(10_000)
-    # only the per-slot occupancy sums, (P, T + 1) int64, grow with the horizon
+    # the bound once allowed per-slot occupancy sums, (P, T + 1) int64; at a
+    # fixed record count nothing the engine keeps grows with the horizon now
     growth = len(POLICY_NAMES) * 8 * 9_000
     assert long - short < growth + (1 << 14), (short, long)
 
@@ -340,9 +358,81 @@ def test_experiment_memory_per_record_stays_small(monkeypatch):
 
     short, long = peak(1_000), peak(5_000)
     records = len(POLICY_NAMES) * replications * 4_000
-    # a record is N + 1 int64 of the trace, 40 bytes; the occupancy sums and the
-    # report's mean occupancy add about 10 more a record at four replications
+    # a record is N + 1 int64 of the trace, 40 bytes, against 80 allowed
     assert long - short < 80 * records, (short, long)
+
+
+def test_experiment_memory_stays_flat_as_the_horizon_grows():
+    # default chunks; 100 records at either horizon
+    def peak(horizon):
+        cfg = SimConfig(
+            params=SystemParams(4, 2, 0.5, 0.2),
+            horizon=horizon,
+            replications=2,
+            seed=42,
+            policies=POLICY_NAMES,
+            record_interval=horizon // 100,
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2_000), peak(20_000)
+    # about 48 KB apart, as the two horizons' chunks and segments differ in
+    # size; int64 per-slot sums of the 18,000 extra slots alone take 576 KB
+    assert long - short < 1 << 16, (short, long)
+
+
+@pytest.mark.parametrize(
+    "n,k,dtype", [(4, 2, np.int8), (8, 8, np.int8), (127, 1, np.int8), (9, 16, np.int16)]
+)
+def test_chunk_draws_are_narrow_and_exact(n, k, dtype, monkeypatch):
+    # 16-slot chunks: the 40 slots read three of them
+    cfg = shape_config(n, k, 40, replications=3)
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 16 * 3 * max(4 * n, n * k))
+    chunks = []
+
+    def advance(kernel, hist, draws, *args, _advance=engine._advance):
+        chunks.append([d.copy() for d in draws])
+        return _advance(kernel, hist, draws, *args)
+
+    monkeypatch.setattr(engine, "_advance", advance)
+    reps = range(1, 4)
+    engine.simulate(cfg, cfg.policies, reps, [cfg.horizon])
+    reads = [
+        (rng.STREAM_CONNECTIVITY, n * k),
+        (rng.STREAM_ARRIVALS, n),
+        (rng.STREAM_POLICY, n * k),
+    ]
+    streams = [
+        [rng.slot_chunks(cfg.seed, r, kind, values, 16) for r in reps]
+        for kind, values in reads
+    ]
+    assert len(chunks) == 3
+    for conn, arrivals, ranks in chunks:
+        u = [np.stack([next(s) for s in kind], axis=1) for kind in streams]
+        assert conn.dtype == arrivals.dtype == bool and ranks.dtype == dtype
+        assert np.array_equal(conn, (u[0] < cfg.params.connect_prob).reshape(conn.shape))
+        assert np.array_equal(arrivals, u[1] < cfg.params.arrival_prob)
+        assert np.array_equal(ranks, engine._ranks(u[2]))
+
+
+@pytest.mark.parametrize("n,k", [(127, 1), (9, 16), (16, 9)])
+def test_narrow_ranks_match_the_scalar_reference(n, k):
+    # split-kernel runs whose unserviceable key N K is 127, the int8 limit,
+    # and 144, past it, where with N > K the draw order decides which queues
+    # are served; random_maximal alone keeps its keys in the rank type
+    cfg = shape_config(n, k, 30)
+    every_slot = range(1, cfg.horizon + 1)
+    for names in [("random_maximal",), ("greedy_lcq", "random_maximal", "fixed_order")]:
+        block = engine.simulate(cfg, names, range(cfg.replications), every_slot)
+        for (i, policy), r in product(enumerate(names), range(cfg.replications)):
+            states, weights = reference_run(cfg, policy, r)
+            assert block.states[i, r].tolist() == [list(x) for x in states[1:]]
+            assert block.mw_index[i, r].tolist() == weights
 
 
 def count_kernel_calls(monkeypatch):

@@ -156,17 +156,18 @@ class TestRunReplication:
         for policy in cfg.policies:
             block = engine.simulate(cfg, (policy,), range(1), every_slot(cfg))
             assert not block.states.any()
-            assert not block.occupancy.any()
+            assert not block.quarter_sums.any()
 
     def test_no_service_accumulates_every_arrival(self):
         cfg = make_config(
             params=SystemParams(3, 2, 0.0, 1.0), horizon=10, record_interval=10
         )
         for policy in cfg.policies:
-            block = engine.simulate(cfg, (policy,), range(1), (10,))
-            assert block.states[0, 0].tolist() == [[10, 10, 10]]
-            assert block.occupancy[0, 10] == 30
-            assert block.mw_index[0, 0].tolist() == [0]
+            block = engine.simulate(cfg, (policy,), range(1), every_slot(cfg))
+            assert block.states[0, 0].tolist() == [[t] * 3 for t in range(1, 11)]
+            # 3 t packets at slot t: slots 6..7, then 8..10
+            assert block.quarter_sums.tolist() == [[39, 81]]
+            assert block.mw_index[0, 0].tolist() == [0] * 10
 
     def test_bit_identical_reruns(self):
         cfg = make_config(record_interval=1)
@@ -175,7 +176,7 @@ class TestRunReplication:
                 engine.simulate(cfg, (policy,), range(3, 4), every_slot(cfg))
                 for _ in range(2)
             )
-            for field in ("occupancy", "states", "mw_index"):
+            for field in ("quarter_sums", "states", "mw_index"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_initial_state_override(self):
@@ -256,7 +257,11 @@ class TestCoupling:
             few_cfg = make_config(policies=few, **sizes)
             report, trace = run_experiment(few_cfg)
             assert traced(trace_records(few_cfg, trace), policy) == alone
-            assert report.mean_occupancy[policy] == everyone.mean_occupancy[policy]
+            mine, theirs = few.index(policy), everyone_cfg.policies.index(policy)
+            assert np.array_equal(
+                trace.quarter_sums[mine], everyone_trace.quarter_sums[theirs]
+            )
+            assert report.stability[policy] == everyone.stability[policy]
 
     def test_full_connectivity_with_enough_servers_collapses_all_policies(self):
         cfg = make_config(
@@ -350,11 +355,11 @@ class TestCoupledCompare:
         values = {
             p: {"total_occupancy": v, "max_queue": v // 3} for p, v in costs.items()
         }
-        occupancy = np.zeros((len(cfg.policies), cfg.horizon + 1), dtype=np.int64)
+        quarter_sums = np.zeros((len(cfg.policies), 2), dtype=np.int64)
         by_cost = {
             c: np.stack([values[p][c] for p in cfg.policies]) for c in cfg.cost_functions
         }
-        report = harness._build_report(cfg, sampled, occupancy, by_cost)
+        report = harness._build_report(cfg, sampled, quarter_sums, by_cost)
 
         reps = cfg.replications
         intervals = clopper_pearson_table(reps)
@@ -389,10 +394,14 @@ class TestCoupledCompare:
             )
 
     def test_zero_arrivals_zero_occupancy_for_all(self):
-        cfg = make_config(params=SystemParams(3, 2, 0.5, 0.0), horizon=32)
-        report = run_experiment(cfg)[0]
+        cfg = make_config(
+            params=SystemParams(3, 2, 0.5, 0.0), horizon=32, record_interval=1
+        )
+        report, trace = run_experiment(cfg)
+        # every slot of every replication is recorded
+        assert not trace.states.any() and not trace.quarter_sums.any()
         for policy in cfg.policies:
-            assert all(v == 0.0 for v in report.mean_occupancy[policy])
+            assert report.stability[policy] == harness.StabilityCheck(0.0, 0.0, False)
         assert report.violations == ()
 
     def test_full_connectivity_square_system_means_coincide(self):
@@ -403,9 +412,14 @@ class TestCoupledCompare:
             horizon=128,
             replications=10,
             policies=("mwm", "greedy_lcq"),
+            record_interval=1,
         )
-        report = run_experiment(cfg)[0]
-        assert report.mean_occupancy["mwm"] == report.mean_occupancy["greedy_lcq"]
+        report, trace = run_experiment(cfg)
+        # the total over the replications at every slot
+        totals = trace.states.sum(axis=(1, 3))
+        assert totals.any() and np.array_equal(totals[0], totals[1])
+        assert np.array_equal(trace.quarter_sums[0], trace.quarter_sums[1])
+        assert report.stability["mwm"] == report.stability["greedy_lcq"]
         assert report.violations == ()
 
 
@@ -557,7 +571,7 @@ class TestCsvShapes:
         for other in others:
             with pytest.raises(ValueError, match="do not match the config"):
                 next(trace_csv_lines(other, trace))
-        short = engine.Block(trace.occupancy, trace.states, trace.mw_index[:, :1])
+        short = engine.Block(trace.quarter_sums, trace.states, trace.mw_index[:, :1])
         with pytest.raises(ValueError, match="do not match the config"):
             next(trace_csv_lines(cfg, short))
 
