@@ -112,6 +112,11 @@ class Block:
     mw_index: np.ndarray
 
 
+def quarter_bounds(horizon: int) -> tuple[int, int, int]:
+    """Bounds b of the stability windows: window w holds the slots (b[w], b[w + 1]]."""
+    return horizon // 2, 3 * horizon // 4, horizon
+
+
 def simulate(
     config,
     names: Sequence[str],
@@ -156,8 +161,7 @@ def simulate(
     # hist[0] is the state before the chunk, hist[i] the state after its slot i
     hist = np.empty((chunk + 1, *shape), dtype=np.int64)
     hist[0] = config.start_state()
-    # quarter w holds the slots (bounds[w], bounds[w + 1]]
-    bounds = np.array([horizon // 2, 3 * horizon // 4, horizon])
+    bounds = np.array(quarter_bounds(horizon))
     quarter_sums = np.zeros((shape[0], 2), dtype=np.int64)
     slots = np.asarray(slots, dtype=np.int64)
     states = np.empty((*shape[:2], len(slots), n), dtype=np.int64)

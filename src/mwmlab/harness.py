@@ -320,10 +320,8 @@ def _percentile_99(flat: np.ndarray) -> int:
 def _build_report(config, sampled, quarter_sums, costs) -> DominanceReport:
     """The report from the (P, 2) quarter occupancy sums and the (P, R, sampled) costs."""
     reps = config.replications
-    horizon = config.horizon
-
     stability = {
-        p: _stability_check(sums, reps, horizon)
+        p: _stability_check(sums, reps, config.horizon)
         for p, sums in zip(config.policies, quarter_sums)
     }
 
@@ -360,7 +358,7 @@ def _build_report(config, sampled, quarter_sums, costs) -> DominanceReport:
         policies=config.policies,
         cost_functions=config.cost_functions,
         replications=reps,
-        horizon=horizon,
+        horizon=config.horizon,
         sampled_slots=tuple(sampled),
         intervals=intervals,
         thresholds=thresholds,
@@ -372,11 +370,11 @@ def _build_report(config, sampled, quarter_sums, costs) -> DominanceReport:
 
 
 def _stability_check(sums: np.ndarray, reps: int, horizon: int) -> StabilityCheck:
-    i3, i4 = horizon // 2, (3 * horizon) // 4
-    if i4 <= i3 or horizon <= i4:
+    lo, mid, hi = engine.quarter_bounds(horizon)
+    if not lo < mid < hi:
         return StabilityCheck(0.0, 0.0, False)
-    third = float(sums[0]) / (reps * (i4 - i3))
-    final = float(sums[1]) / (reps * (horizon - i4))
+    third = float(sums[0]) / (reps * (mid - lo))
+    final = float(sums[1]) / (reps * (hi - mid))
     flagged = final > third * _GROWTH_FACTOR + _GROWTH_SLACK
     return StabilityCheck(third, final, flagged)
 
@@ -404,9 +402,7 @@ class PreceqAuditReport:
 
     @property
     def fraction_holding(self) -> float:
-        if self.slots_checked == 0:
-            return 1.0
-        return self.slots_holding / self.slots_checked
+        return self.slots_holding / self.slots_checked if self.slots_checked else 1.0
 
 
 def per_slot_preceq_audit(config: SimConfig, baseline: str) -> PreceqAuditReport:

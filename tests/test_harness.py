@@ -229,8 +229,9 @@ class TestRunReplication:
 class TestCoupling:
     def test_policy_results_do_not_depend_on_which_policies_run(self):
         # each policy sees the same path whether it runs alone, next to the
-        # reference only, or with all four policies in another order
-        sizes = dict(horizon=40, replications=4, record_interval=5)
+        # reference only, or with all four policies in another order; every
+        # slot is recorded, so every slot's state and total is compared
+        sizes = dict(horizon=40, replications=4, record_interval=1)
         cfg = make_config(**sizes)
         everyone_cfg = make_config(policies=tuple(reversed(cfg.policies)), **sizes)
         everyone, everyone_trace = run_experiment(everyone_cfg)
@@ -258,6 +259,10 @@ class TestCoupling:
             report, trace = run_experiment(few_cfg)
             assert traced(trace_records(few_cfg, trace), policy) == alone
             mine, theirs = few.index(policy), everyone_cfg.policies.index(policy)
+            assert np.array_equal(
+                trace.states[mine].sum(axis=(0, 2)),
+                everyone_trace.states[theirs].sum(axis=(0, 2)),
+            )
             assert np.array_equal(
                 trace.quarter_sums[mine], everyone_trace.quarter_sums[theirs]
             )
