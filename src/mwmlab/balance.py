@@ -14,11 +14,13 @@ post-service vector either componentwise decreases with a strict decrease
 somewhere (C1) or is one balancing interchange away (C2). The sweep below
 checks on every small system that each reallocation strictly increases the
 matching weight, that one exists exactly when the weight is below the
-optimum, and that chained reallocations reach the optimum.
+optimum, and that chained reallocations reach the optimum. These checks see
+a system only through its weight matrix, so each distinct matrix runs once.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from collections.abc import Callable, Iterable, Sequence
@@ -140,8 +142,9 @@ def register_cost_function(name: str, fn: Callable[[Sequence[int]], int]) -> Non
 # --- balancing server reallocations ---------------------------------------
 
 # Narrow (int32 or bool) cells of one sweep block's (matching, matching,
-# instance) arrays; a shape whose single instance is larger runs one
-# instance per block.
+# instance) arrays, an instance being a weight matrix's canonical one or,
+# when listing violations, an (x, c); a shape whose single instance is
+# larger runs one per block.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -268,59 +271,80 @@ def sweep_lemmas(max_n: int, max_k: int, max_x: int) -> LemmaSweepReport:
 def _sweep_shape(
     report: LemmaSweepReport, n_queues: int, n_servers: int, max_x: int
 ) -> None:
-    """Check every instance of one shape, a block of instances at a time.
+    """Check every instance of one shape once per distinct weight matrix.
 
-    Instances are numbered in the order ``x`` (last queue fastest), then
-    the connectivity whose bit ``n * K + k`` is ``c[n][k]``; each block is
-    decoded from its range of numbers, so memory does not grow with the
-    shape's instance count.
+    Every check sees an instance (x, c) only through w = x·c: an empty or
+    unconnected queue is never served, and a nonzero row n gives x_n (its
+    maximum) and the connectivity row c_n (where it is positive, bit k of
+    c_n being c[n][k]). The matrices are numbered by one digit per queue,
+    the last queue fastest: 0 for a zero row, else (x_n - 1)(2^K - 1) + c_n.
+    A block of numbers at a time is decoded to canonical instances (a zero
+    row as x_n = 0, c_n = 0) and checked, and each matrix's reallocation
+    pairs count once for each of the (2^K + max_x)^(zero rows) instances
+    that share it. Only when a matrix fails does a second pass decode the
+    instances, in the order x (last queue fastest), then the connectivity
+    whose bit n * K + k is c[n][k], and list those whose matrix failed.
+    Memory does not grow with the shape's matrix or instance count.
     """
     matchings = list(enumerate_matchings(n_queues, n_servers))
     table = matching_table(matchings, n_queues)
-    per_x = 1 << (n_queues * n_servers)
-    total = (max_x + 1) ** n_queues * per_x
+    rows = (1 << n_servers) - 1  # nonzero connectivity rows
+    digits, bit = (1 + max_x * rows,) * n_queues, np.arange(n_servers)
+    shape = (max_x + 1,) * n_queues + (rows + 1,) * n_queues  # x, then c_(N-1) .. c_0
     block = max(1, _BLOCK_CELLS // len(matchings) ** 2)
-    cell_bit = np.arange(n_queues * n_servers).reshape(n_queues, n_servers)
-    for start in range(0, total, block):
-        rest, bits = np.divmod(
-            np.arange(start, min(start + block, total), dtype=np.int64), per_x
-        )
-        x = np.empty((len(bits), n_queues), dtype=np.int64)
-        for n in reversed(range(n_queues)):
-            rest, x[:, n] = np.divmod(rest, max_x + 1)
-        c = (bits[:, None, None] >> cell_bit) & 1
-        mw, c1, c2 = _reallocation_kernel(x, c, table)
-        edges = c1 | c2
-        opt = mw.max(axis=1)
-        dist = _distances_to_optimum(mw, edges)
-        report.instances += len(bits) * len(matchings)
-        report.reallocation_pairs += np.count_nonzero(edges)
+    report.instances += math.prod(shape) * len(matchings)
+    failed = []
+    for start in range(0, math.prod(digits), block):
+        d = np.arange(start, min(start + block, math.prod(digits)))
+        d = np.stack(np.unravel_index(d, digits), axis=1)
+        x = -(-d // rows)
+        c = (np.where(d > 0, d - (x - 1) * rows, 0)[:, :, None] >> bit) & 1
+        pairs, found = _check_block(x, c, table, matchings)
+        report.reallocation_pairs += int(pairs @ (rows + 1 + max_x) ** (d == 0).sum(axis=1))
+        failed += [start + b for entries in found for b, _ in entries]
+    lists = (report.solver_mismatches, report.weight_increase_violations,
+             report.biconditional_violations, report.unreachable_optimum)
+    for start in range(0, math.prod(shape) if failed else 0, block):
+        inst = np.arange(start, min(start + block, math.prod(shape)))
+        inst = np.stack(np.unravel_index(inst, shape), axis=1)
+        x, c_rows = inst[:, :n_queues], inst[:, n_queues:][:, ::-1]
+        d = np.where((x > 0) & (c_rows > 0), (x - 1) * rows + c_rows, 0)
+        keep = np.isin(np.ravel_multi_index(d.T, digits), failed)
+        x, c = x[keep], (c_rows[keep][:, :, None] >> bit) & 1
+        for out, entries in zip(lists, _check_block(x, c, table, matchings)[1]):
+            out.extend(
+                f"N={n_queues} K={n_servers} x={tuple(x[b].tolist())} "
+                f"c={tuple(map(tuple, c[b].tolist()))} {detail}"
+                for b, detail in entries
+            )
 
-        def inst(b: int) -> str:
-            c_b = tuple(map(tuple, c[b].tolist()))
-            return f"N={n_queues} K={n_servers} x={tuple(x[b].tolist())} c={c_b}"
 
-        w = x[:, :, None] * c
-        servers = max_weight_servers(w)
-        solved = (w * (servers[:, :, None] == np.arange(n_servers))).sum(axis=(1, 2))
-        for b in np.flatnonzero(solved != opt):
-            pairs = tuple((q, s) for q, s in enumerate(servers[b].tolist()) if s >= 0)
-            report.solver_mismatches.append(f"{inst(b)} solver={pairs}")
-        for b, i, j in _cells(edges & (mw[:, None, :] <= mw[:, :, None])):
-            report.weight_increase_violations.append(
-                f"{inst(b)} m={matchings[i]} -> {matchings[j]} "
-                f"weight {mw[b, i]} -> {mw[b, j]}"
-            )
-        n_out = edges.sum(axis=2)
-        for b, i in _cells((mw < opt[:, None]) != (n_out > 0)):
-            report.biconditional_violations.append(
-                f"{inst(b)} m={matchings[i]} weight={mw[b, i]} opt={opt[b]} "
-                f"reallocations={n_out[b, i]}"
-            )
-        for b, i in _cells(dist < 0):
-            report.unreachable_optimum.append(
-                f"{inst(b)} m={matchings[i]} weight={mw[b, i]} opt={opt[b]}"
-            )
+def _check_block(
+    x: np.ndarray, c: np.ndarray, table: tuple[np.ndarray, np.ndarray], matchings: list
+) -> tuple[np.ndarray, list[list[tuple[int, str]]]]:
+    """Run every check on B instances of one shape: (B, N) ``x``, (B, N, K) ``c``.
+
+    Returns each instance's reallocation pair count and, for the solver,
+    weight-increase, biconditional and unreachable checks in turn, the
+    (instance, detail) of each violation in C order.
+    """
+    mw, c1, c2 = _reallocation_kernel(x, c, table)
+    edges = c1 | c2
+    opt = mw.max(axis=1)
+    dist = _distances_to_optimum(mw, edges)
+    n_out = edges.sum(axis=2)
+    w = x[:, :, None] * c
+    servers = max_weight_servers(w)
+    solved = (w * (servers[:, :, None] == np.arange(c.shape[2]))).sum(axis=(1, 2))
+    return n_out.sum(axis=1), [
+        [(b, f"solver={tuple((q, s) for q, s in enumerate(servers[b].tolist()) if s >= 0)}")
+         for b in np.flatnonzero(solved != opt)],
+        [(b, f"m={matchings[i]} -> {matchings[j]} weight {mw[b, i]} -> {mw[b, j]}")
+         for b, i, j in _cells(edges & (mw[:, None, :] <= mw[:, :, None]))],
+        [(b, f"m={matchings[i]} weight={mw[b, i]} opt={opt[b]} reallocations={n_out[b, i]}")
+         for b, i in _cells((mw < opt[:, None]) != (n_out > 0))],
+        [(b, f"m={matchings[i]} weight={mw[b, i]} opt={opt[b]}") for b, i in _cells(dist < 0)],
+    ]
 
 
 def _cells(mask: np.ndarray) -> Iterable[tuple[int, ...]]:

@@ -337,6 +337,28 @@ class TestReallocationGraph:
             )
         assert top_interchanges > 0
 
+    @pytest.mark.parametrize("n, k, max_x", [(n, k, 3) for n in (1, 2, 3) for k in (1, 2)]
+                             + [(2, 3, 2)])
+    def test_checks_see_only_the_weight_matrix(self, n, k, max_x):
+        # the sweep runs one canonical instance per w = x·c: x_n the maximum
+        # of row n and c_n where it is positive, so a zero row is x_n = c_n = 0
+        x, c = (np.array(v) for v in zip(*small_instances(n, k, max_x)))
+        w = x[:, :, None] * c
+        box = w[: ((max_x + 1) * 2**k) ** n].reshape(-1, n * k)  # less the hand example
+        assert len(np.unique(box, axis=0)) == (1 + max_x * (2**k - 1)) ** n
+        table = matching_table(list(enumerate_matchings(n, k)), n)
+
+        def checks(x, c):
+            weights, c1, c2 = balance._reallocation_kernel(x, c, table)
+            w = x[:, :, None] * c
+            servers = balance.max_weight_servers(w)
+            return (weights, c1, c2, balance._distances_to_optimum(weights, c1 | c2),
+                    (w * (servers[:, :, None] == np.arange(k))).sum(axis=(1, 2)))
+
+        canonical = checks(w.max(axis=2), (w > 0).astype(c.dtype))
+        for got, want in zip(checks(x, c), canonical):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestDistanceToMwm:
     def test_matches_forward_search_oracle(self):
@@ -377,9 +399,10 @@ class TestSweep:
         return [line for line in text.splitlines() if "elapsed seconds" not in line]
 
     def test_block_size_does_not_change_the_report(self, monkeypatch):
-        # at (3, 2, 1) the shipped block size splits one x's 64 connectivities
+        # at (3, 2, 2) the shipped block size, 193 at N=3 and K=2, splits
+        # the shape's 7**3 weight matrices
         shipped = balance._BLOCK_CELLS
-        for ranges, instances in (((2, 2, 2), 1164), ((3, 2, 1), 7440)):
+        for ranges, instances in (((2, 2, 2), 1164), ((3, 2, 1), 7440), ((3, 2, 2), 24492)):
             reports = []
             for cells in (1, shipped, 1 << 30):
                 monkeypatch.setattr(balance, "_BLOCK_CELLS", cells)
@@ -401,8 +424,9 @@ class TestSweep:
 
         monkeypatch.setattr(balance, "_reallocation_kernel", drop_edges_of_two_instances)
         # N=2, K=1 has 3 matchings and 4 connectivities an x, so at 36 cells
-        # a block holds 4 instances: x=(1, 2) with both queues connected is
-        # instance 23, in block 5, and x=(2, 1) is instance 31, in block 7
+        # a block of the listing pass holds 4 instances: x=(1, 2) with both
+        # queues connected is instance 23, in block 5, and x=(2, 1) is
+        # instance 31, in block 7
         reports = []
         for cells in (1, 36, 1 << 30):
             monkeypatch.setattr(balance, "_BLOCK_CELLS", cells)
@@ -425,12 +449,13 @@ class TestSweep:
         ]
 
     def test_memory_does_not_grow_with_the_range(self):
-        # the largest shape, N=2 and K=2, has 7 matchings and 16 connectivities
-        # an x, so even the smaller range's 81 x's take more than one block
-        assert 81 * 16 > balance._BLOCK_CELLS // 7**2
+        # the largest shape, N=2 and K=2, has 7 matchings and 1 + 12 * 3
+        # weight-matrix digits a queue, so even the smaller range's 37**2
+        # matrices take more than one block
+        assert 37**2 > balance._BLOCK_CELLS // 7**2
         sweep_lemmas(2, 2, 1)
         peaks = []
-        for max_x in (8, 16):
+        for max_x in (12, 24):
             tracemalloc.start()
             try:
                 sweep_lemmas(2, 2, max_x)
@@ -460,6 +485,44 @@ class TestSweep:
             f"  VIOLATION [unreachable] {inst} m=((0, 0),) weight=1 opt=2",
         ]
         assert lines[-1] == "total violations: 4"
+
+    def test_failed_matrix_with_a_zero_row_lists_each_instance(self, monkeypatch):
+        kernel = balance._reallocation_kernel
+
+        def drop_edges_of_one_matrix(x, c, table):
+            weights, c1, c2 = kernel(x, c, table)
+            if c.shape[1:] == (2, 1):
+                hit = (x[:, :, None] * c == [[0], [2]]).all(axis=(1, 2))
+                c1[hit] = c2[hit] = False
+            return weights, c1, c2
+
+        monkeypatch.setattr(balance, "_reallocation_kernel", drop_edges_of_one_matrix)
+        # w = ((0,), (2,)) is the weight matrix of four instances
+        insts = [f"N=2 K=1 x={x} c=(({c0},), (1,))"
+                 for x, c0 in (((0, 2), 0), ((0, 2), 1), ((1, 2), 0), ((2, 2), 0))]
+        expected = [
+            f"  VIOLATION [biconditional] {inst} m={m} weight=0 opt=2 reallocations=0"
+            for inst in insts for m in ((), ((0, 0),))
+        ] + [
+            f"  VIOLATION [unreachable] {inst} m={m} weight=0 opt=2"
+            for inst in insts for m in ((), ((0, 0),))
+        ]
+        shipped = balance._BLOCK_CELLS
+        for cells in (1, shipped, 1 << 30):
+            monkeypatch.setattr(balance, "_BLOCK_CELLS", cells)
+            lines = self._report_without_time(2, 1, 2)
+            assert [line for line in lines if "VIOLATION" in line] == expected
+            assert lines[-1] == "total violations: 16"
+
+    @pytest.mark.parametrize("ranges, instances, pairs", [
+        ((3, 2, 3), 57344, 176367), ((2, 3, 3), 15488, 43023), ((4, 1, 4), 54320, 55144),
+        ((3, 2, 1), 7440, 15511), ((2, 2, 16), 36108, 59968), ((2, 4, 1), 25584, 83807),
+    ])
+    def test_counts_are_pinned(self, ranges, instances, pairs):
+        # each weight matrix's pairs count once for every instance sharing it
+        report = sweep_lemmas(*ranges)
+        assert (report.instances, report.reallocation_pairs) == (instances, pairs)
+        assert report.violation_count == 0
 
     def test_solver_mismatch_is_reported(self, monkeypatch):
         solve = balance.max_weight_servers
