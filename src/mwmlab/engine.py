@@ -48,10 +48,10 @@ it from then on, the coalescence that coupling from the past rests on
 exact state; a later one starts from a state an earlier break may still
 overwrite. So a break that reaches the next open break's origin without
 meeting the stored state there absorbs that break: it goes on with its own
-state and may not end at or before the slot the absorbed break had reached,
-since only past that slot does the stored path follow from itself again.
-Once one break is left it steps alone, P·R rows a call. Only the number of
-repair steps depends on where paths meet.
+state, and the slots the absorbed break wrote are set to -1, which no state
+equals, so the absorber rewrites them all. Once one break is left it steps
+alone, P·R rows a call. Only the number of repair steps depends on where
+paths meet.
 S is 1, and a chunk runs slot by slot, when the P·R rows already fill a
 speculative batch, when the chunk is shorter than two segments, or when
 N·λ >= min(N, K): then no policy can serve the mean arrivals, the queues
@@ -209,12 +209,11 @@ def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> N
         _step(kernel, x, *(d[j:span:length].reshape(-1, *d.shape[2:]) for d in draws))
         out[:, j] = by_segment
     # One entry per open break: the boundary it started from, its frontier
-    # (the last slot it wrote), its floor (it may not end at or before that
-    # slot) and its (P, R, N) state at the frontier. The stored path follows
-    # from itself everywhere except just past a frontier and up to a floor.
+    # (the last slot it wrote) and its (P, R, N) state at the frontier. The
+    # stored path follows from itself everywhere except just past a frontier.
     origin = np.arange(length, size, length)
     origin = origin[hist[origin].any(axis=(1, 2, 3))]
-    frontier, floor = origin.copy(), np.full(len(origin), -1)
+    frontier = origin.copy()
     x = hist[origin]
     while len(x) > 1:
         rows = x.swapaxes(0, 1).reshape(p, -1, n)
@@ -222,27 +221,26 @@ def _advance(kernel, hist: np.ndarray, draws: list, size: int, length: int) -> N
         _step(kernel, rows, *at)
         x = rows.reshape(p, -1, r, n).swapaxes(0, 1)
         frontier += 1
-        met = (x == hist.take(frontier, 0)).all(axis=(1, 2, 3)) & (frontier > floor)
+        met = (x == hist.take(frontier, 0)).all(axis=(1, 2, 3))
         hist[frontier] = x
         if met.any() or frontier[-1] == size:  # the last break is the furthest
             live = ~met & (frontier < size)
-            origin, frontier, floor, x = (a[live] for a in (origin, frontier, floor, x))
+            origin, frontier, x = (a[live] for a in (origin, frontier, x))
         # a break at the next one's origin absorbs it, with any break that one
-        # absorbs in the same step, and may not end at or before the furthest
-        # slot they reached
+        # absorbs in the same step; what they wrote is erased to -1, which no
+        # state equals, so the absorber rewrites every slot of it
         absorbed = frontier[:-1] == origin[1:]
         if absorbed.any():
             absorbed = np.concatenate(([False], absorbed))
-            head = np.cumsum(~absorbed) - 1
-            reach, keep = np.maximum(frontier, floor)[absorbed], ~absorbed
-            origin, frontier, floor, x = (a[keep] for a in (origin, frontier, floor, x))
-            np.maximum.at(floor, head[absorbed], reach)
+            for o, f in zip(origin[absorbed], frontier[absorbed]):
+                hist[o + 1 : f + 1] = -1
+            origin, frontier, x = (a[~absorbed] for a in (origin, frontier, x))
     if len(x):
-        x, reached, last = x[0], int(frontier[0]), int(floor[0])
+        x, reached = x[0], int(frontier[0])
         while reached < size:
             _step(kernel, x, *(d[reached] for d in draws))
             reached += 1
-            if reached > last and (x == hist[reached]).all():
+            if (x == hist[reached]).all():
                 break
             hist[reached] = x
 

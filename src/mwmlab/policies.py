@@ -1,11 +1,11 @@
-"""Names of the slot-wise server assignment policies.
+"""Names of the four server assignment policies.
 
-Every policy is a stateless function of the queue lengths left by the
-previous slot and the current connectivity matrix, and returns the
-canonical matching form: a sorted pair tuple that never contains a
-disconnected pair or an empty queue. ``mwmlab.engine`` decides all four in
-one batched kernel; ``tests/reference.py`` holds the scalar deciders it is
-checked against.
+This module holds only the names. Each policy picks a slot's matching from
+the queue lengths left by the previous slot and the slot's connectivities,
+``random_maximal`` also from the slot's draws. The decisions live in
+``mwmlab.engine``, whose one batched kernel returns every row's 0/1 service
+vector; ``tests/reference.py`` holds the scalar deciders it is checked
+against.
 """
 
 MWM = "mwm"

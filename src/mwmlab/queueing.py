@@ -1,10 +1,10 @@
 """System parameters and queue states of parallel queues with random connectivity.
 
-Per slot: observe the previous queue lengths, draw the Bernoulli connectivity
-matrix, apply a matching, remove at most one packet from each matched
-connected queue, then add the slot's Bernoulli arrivals. ``mwmlab.engine``
-runs these dynamics for every policy and replication at once;
-``tests/reference.py`` holds the one-slot update it is checked against.
+This module holds only the validated ``SystemParams`` and the queue-state
+check. The slot dynamics, service by the chosen matching and then the
+slot's arrivals, live in ``mwmlab.engine`` for every policy and replication
+at once; ``tests/reference.py`` holds the one-slot update they are checked
+against.
 """
 
 from __future__ import annotations
