@@ -13,7 +13,7 @@ from .balance import (
     sweep_lemmas,
     total_occupancy,
 )
-from .engine import Block
+from .engine import POLICY_NAMES, Block, SystemParams
 from .harness import (
     DominanceReport,
     PreceqAuditReport,
@@ -22,8 +22,6 @@ from .harness import (
     run_experiment,
 )
 from .matching import enumerate_matchings, max_weight_matching
-from .policies import POLICY_NAMES
-from .queueing import SystemParams
 
 __version__ = "0.1.0"
 

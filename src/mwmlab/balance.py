@@ -35,7 +35,21 @@ from .matching import (
     matching_table,
     max_weight_servers,
 )
-from .queueing import QueueState, validate_state
+
+QueueState = tuple[int, ...]
+
+
+def validate_state(x: Sequence[int]) -> QueueState:
+    """The queue-length vector ``x`` as a tuple of nonnegative ints, or ValueError."""
+    out = tuple(int(v) for v in x)
+    if len(out) < 1:
+        raise ValueError("queue state must not be empty")
+    for n, v in enumerate(out):
+        if v != x[n]:
+            raise ValueError(f"queue length [{n}] = {x[n]!r} is not an integer")
+        if v < 0:
+            raise ValueError(f"queue length [{n}] = {v} is negative")
+    return out
 
 
 def preceq_p(x_tilde: Sequence[int], x: Sequence[int]) -> bool:

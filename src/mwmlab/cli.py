@@ -24,9 +24,9 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from . import balance, harness, policies
+from . import balance, harness
+from .engine import MWM, POLICY_NAMES, SystemParams
 from .matching import max_weight_matching
-from .queueing import SystemParams
 
 
 class CliError(Exception):
@@ -94,7 +94,7 @@ _SHARED = {
 SETTINGS = {
     "simulate": {
         **_SHARED,
-        "policy": (_names, ",".join(policies.POLICY_NAMES), "policy; repeatable"),
+        "policy": (_names, ",".join(POLICY_NAMES), "policy; repeatable"),
         "cost": (_names, "total_occupancy", "cost function; repeatable"),
         "record_interval": (_count, lambda v: str(max(1, v["horizon"] // 100)),
                             "slots between trace records (default: horizon // 100)"),
@@ -172,7 +172,7 @@ def build_sim_config(args: argparse.Namespace) -> tuple[harness.SimConfig, dict[
         replications=values["replications"],
         seed=values["seed"],
         policies=(
-            tuple(dict.fromkeys((policies.MWM, values["baseline"])))
+            tuple(dict.fromkeys((MWM, values["baseline"])))
             if "baseline" in values
             else values["policy"]
         ),

@@ -1,5 +1,8 @@
 """Lockstep simulation: every (policy, replication) row advances together.
 
+The module also holds the system parameters, ``SystemParams``, and the
+names of the four policies, each defined below by its edge weights.
+
 State is an integer array of shape (P, R, N), one row per configured policy
 and replication. Each slot one batched kernel picks every row's matching;
 every row then loses its 0/1 service vector and gains the slot's arrivals.
@@ -72,8 +75,14 @@ from math import comb, perm
 import numpy as np
 
 from . import matching, rng
-from .matching import enumerate_matchings, matching_table, max_weight_servers
-from .policies import FIXED_ORDER, GREEDY_LCQ, MWM, RANDOM_MAXIMAL
+from .matching import MAX_SERVERS, enumerate_matchings, matching_table, max_weight_servers
+
+MWM = "mwm"
+RANDOM_MAXIMAL = "random_maximal"
+GREEDY_LCQ = "greedy_lcq"
+FIXED_ORDER = "fixed_order"
+
+POLICY_NAMES = (MWM, RANDOM_MAXIMAL, GREEDY_LCQ, FIXED_ORDER)
 
 # Systems with at most this many matchings use the table kernel. The table
 # also needs N*K <= matching.ENUMERATION_LIMIT, so a draw weight is below
@@ -95,6 +104,35 @@ _MIN_SEGMENT = 32
 # Table weight of an edge that is not serviceable: a matching that uses one
 # scores below the empty matching, which scores 0.
 _UNSERVICEABLE = -(2.0**58)
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """Symmetric system: every queue shares one arrival and one connectivity rate."""
+
+    n_queues: int
+    n_servers: int
+    connect_prob: float
+    arrival_prob: float
+
+    def __post_init__(self):
+        if self.n_queues < 1:
+            raise ValueError(f"n_queues must be >= 1, got {self.n_queues}")
+        if self.n_servers < 1:
+            raise ValueError(f"n_servers must be >= 1, got {self.n_servers}")
+        if self.n_servers > MAX_SERVERS:
+            raise ValueError(
+                f"n_servers must be <= {MAX_SERVERS}, the solver's limit, "
+                f"got {self.n_servers}"
+            )
+        if not 0.0 <= self.connect_prob <= 1.0:
+            raise ValueError(
+                f"connect_prob must be within [0, 1], got {self.connect_prob}"
+            )
+        if not 0.0 <= self.arrival_prob <= 1.0:
+            raise ValueError(
+                f"arrival_prob must be within [0, 1], got {self.arrival_prob}"
+            )
 
 
 @dataclass
@@ -295,27 +333,23 @@ class _TableKernel:
         self.draw_weight = np.ldexp(1.0, np.arange(n * k - 1, -1, -1))
         # 2^(NK - 1 - key) for the edge key n * K + k, n the queue or its rank
         self.priority = self.draw_weight.reshape(n, k)
-        self.fixed = [p for p, name in enumerate(names) if name == FIXED_ORDER]
-        self.dynamic = [(p, name) for p, name in enumerate(names) if name != FIXED_ORDER]
-        # (P, rows, N, K); it grows to the largest call, filling the fixed rows
-        self.weights = np.empty((len(names), 0, n, k))
+        self.names = names
 
     def __call__(self, x: np.ndarray, c: np.ndarray, ranks) -> np.ndarray:
         serv = (x > 0)[..., None] & c
-        rows = serv.shape[1]
-        if rows > self.weights.shape[1]:
-            self.weights = np.empty(serv.shape)
-            self.weights[self.fixed] = self.priority
-        w = self.weights[:, :rows]
-        for p, name in self.dynamic:
+        w = np.empty(serv.shape)
+        for p, name in enumerate(self.names):
             if name == MWM:
                 w[p] = x[p, :, :, None]
+            elif name == FIXED_ORDER:
+                w[p] = self.priority
             elif name == GREEDY_LCQ:
                 w[p] = self.priority.take(_ranks(-x[p]), 0)
             else:
                 w[p] = self.draw_weight[_draw_rank(serv[p], ranks)].reshape(w.shape[1:])
-        score = np.where(serv, w, _UNSERVICEABLE).reshape(-1, len(self.incidence))
-        best = (score @ self.incidence).argmax(axis=1)
+        # w is this call's own, so the unserviceable edges are masked in place
+        np.putmask(w, ~serv, _UNSERVICEABLE)
+        best = (w.reshape(-1, len(self.incidence)) @ self.incidence).argmax(axis=1)
         return self.served.take(best, 0).reshape(x.shape)
 
 

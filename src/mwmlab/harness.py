@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, policies, rng
-from .balance import COST_FUNCTIONS, weakly_submajorized
-from .queueing import QueueState, SystemParams, validate_state
+from . import engine, rng
+from .balance import COST_FUNCTIONS, QueueState, validate_state, weakly_submajorized
+from .engine import MWM, POLICY_NAMES, SystemParams
 
 CONFIDENCE_LEVEL = 0.99
 
@@ -54,13 +54,13 @@ class SimConfig:
         if self.replications > rng.REPLICATION_LIMIT:
             raise ValueError("replication count exceeds the stream key space")
         for name in self.policies:
-            if name not in policies.POLICY_NAMES:
+            if name not in POLICY_NAMES:
                 raise ValueError(
-                    f"unknown policy {name!r}; expected one of {policies.POLICY_NAMES}"
+                    f"unknown policy {name!r}; expected one of {POLICY_NAMES}"
                 )
         if len(set(self.policies)) != len(self.policies):
             raise ValueError("policies must be unique")
-        if policies.MWM not in self.policies:
+        if MWM not in self.policies:
             raise ValueError("the coupled comparison needs the mwm policy included")
         if not self.cost_functions:
             raise ValueError("at least one cost function is required")
@@ -328,7 +328,7 @@ def _build_report(config, sampled, quarter_sums, costs) -> DominanceReport:
     # the success count k of any point lies in 0..reps
     intervals = clopper_pearson_table(reps)
     lows, highs = np.array(intervals).T
-    mwm = config.policies.index(policies.MWM)
+    mwm = config.policies.index(MWM)
     thresholds: dict[str, int] = {}
     counts: dict[str, tuple[int, ...]] = {}
     mean_costs: dict[str, dict[str, tuple[float, ...]]] = {}
@@ -411,9 +411,9 @@ def per_slot_preceq_audit(config: SimConfig, baseline: str) -> PreceqAuditReport
     Every slot of every replication is checked with the closed-form order
     test, so the audit runs at any system size and horizon.
     """
-    if baseline not in policies.POLICY_NAMES:
+    if baseline not in POLICY_NAMES:
         raise ValueError(f"unknown policy {baseline!r}")
-    names = tuple(dict.fromkeys((policies.MWM, baseline)))
+    names = tuple(dict.fromkeys((MWM, baseline)))
     n = config.params.n_queues
     horizon = config.horizon
     # every slot's state is kept, so blocks of replications bound the memory

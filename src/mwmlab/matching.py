@@ -9,6 +9,7 @@ are detected exactly and broken deterministically. A system has at most
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -68,21 +69,15 @@ def enumerate_matchings(n_queues: int, n_servers: int) -> Iterator[Matching]:
             f"({n_queues * n_servers} > {ENUMERATION_LIMIT})"
         )
 
-    acc: list[Pair] = []
-
-    def rec(row: int, free: int) -> Iterator[Matching]:
-        if row == n_queues:
-            yield tuple(acc)
-            return
-        yield from rec(row + 1, free)
-        for k in range(n_servers):
-            bit = 1 << k
-            if free & bit:
-                acc.append((row, k))
-                yield from rec(row + 1, free ^ bit)
-                acc.pop()
-
-    yield from rec(0, (1 << n_servers) - 1)
+    queues = range(n_queues)
+    matchings = (
+        tuple(zip(matched, servers))
+        for j in range(min(n_queues, n_servers) + 1)
+        for matched in combinations(queues, j)
+        for servers in permutations(range(n_servers), j)
+    )
+    # each queue's server, -1 when unmatched, sorts them depth first
+    yield from sorted(matchings, key=lambda m: [dict(m).get(q, -1) for q in queues])
 
 
 def matching_table(

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from mwmlab import rng
+from mwmlab.balance import QueueState, validate_state
+from mwmlab.engine import FIXED_ORDER, GREEDY_LCQ, MWM, SystemParams
 from mwmlab.matching import Matching, Pair, validate_weight_matrix
-from mwmlab.policies import FIXED_ORDER, GREEDY_LCQ, MWM
-from mwmlab.queueing import QueueState, SystemParams, validate_state
 
 # --- matching -------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from mwmlab.balance import (
     reachable_below,
     verify_monotone_on_pairs,
 )
+from mwmlab.engine import SystemParams
 from mwmlab.harness import (
     SimConfig,
     dominance_csv_lines,
@@ -24,7 +25,6 @@ from mwmlab.harness import (
     write_lines,
 )
 from mwmlab.matching import enumerate_matchings, max_weight_matching
-from mwmlab.queueing import SystemParams
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

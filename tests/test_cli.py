@@ -10,7 +10,7 @@ import pytest
 from test_acceptance import DESK_SCALE
 
 from mwmlab import cli, harness
-from mwmlab.policies import POLICY_NAMES
+from mwmlab.engine import POLICY_NAMES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -18,10 +18,9 @@ from reference import (
 )
 
 from mwmlab import engine, matching, rng
+from mwmlab.engine import POLICY_NAMES, SystemParams
 from mwmlab.harness import SimConfig, run_experiment, sampled_slots
 from mwmlab.matching import enumerate_matchings
-from mwmlab.policies import POLICY_NAMES
-from mwmlab.queueing import SystemParams
 
 
 def reference_run(config, policy, replication):

@@ -1,6 +1,7 @@
-"""The package's export list, and the public names the scalar reference uses."""
+"""The package's export list, the public names the scalar reference uses, and the README layout."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -29,3 +30,12 @@ def test_reference_imports_no_private_name():
     assert from_package
     private = [n for n in from_package if any(p.startswith("_") for p in n.split("."))]
     assert private == []
+
+
+def test_readme_layout_names_every_module():
+    root = Path(__file__).parent.parent
+    layout = (root / "README.md").read_text(encoding="utf-8").split("## Layout", 1)[1]
+    block = layout.split("```")[1].split("src/mwmlab/\n", 1)[1]
+    block = block[: re.search(r"^\S", block, re.M).start()]  # up to the next directory
+    listed = re.findall(r"^  (\S+\.py) ", block, re.M)
+    assert sorted(listed) == sorted(p.name for p in (root / "src" / "mwmlab").glob("*.py"))

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import betaincinv
 
 from mwmlab.balance import COST_FUNCTIONS
+from mwmlab.engine import SystemParams
 from mwmlab.harness import (
     CONFIDENCE_LEVEL,
     DominanceViolation,
@@ -24,7 +25,6 @@ from mwmlab.harness import (
     trace_csv_lines,
     write_lines,
 )
-from mwmlab.queueing import SystemParams
 from mwmlab import engine, harness
 from mwmlab import rng
 from reference import (

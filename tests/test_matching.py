@@ -198,6 +198,22 @@ class TestEnumerateMatchings:
         with pytest.raises(ValueError):
             list(enumerate_matchings(3, 0))
 
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(1, 13) for k in range(1, 13) if n * k <= 12]
+    )
+    def test_order_is_depth_first(self, n, k):
+        # the sweep lists violations in this order, so it must not drift
+        def depth_first(row, free, acc):
+            if row == n:
+                yield tuple(acc)
+                return
+            yield from depth_first(row + 1, free, acc)
+            for s in range(k):
+                if s in free:
+                    yield from depth_first(row + 1, free - {s}, acc + [(row, s)])
+
+        assert list(enumerate_matchings(n, k)) == list(depth_first(0, set(range(k)), []))
+
 
 class TestMatchingWeight:
     def test_examples(self):

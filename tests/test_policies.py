@@ -17,7 +17,7 @@ from reference import (
 )
 
 from mwmlab import rng
-from mwmlab.policies import POLICY_NAMES
+from mwmlab.engine import POLICY_NAMES
 
 
 def policy_gen(slot: int, n_values: int = 8, seed: int = 123):

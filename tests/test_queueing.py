@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from reference import SamplePath, serve
 
 from mwmlab import rng
+from mwmlab.balance import validate_state
+from mwmlab.engine import SystemParams
 from mwmlab.matching import enumerate_matchings
-from mwmlab.queueing import SystemParams, validate_state
 
 
 def step(x, c, a, m):
