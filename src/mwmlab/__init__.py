@@ -14,13 +14,7 @@ from .balance import (
     total_occupancy,
 )
 from .engine import POLICY_NAMES, Block, SystemParams
-from .harness import (
-    DominanceReport,
-    PreceqAuditReport,
-    SimConfig,
-    per_slot_preceq_audit,
-    run_experiment,
-)
+from .harness import DominanceReport, SimConfig, run_experiment
 from .matching import enumerate_matchings, max_weight_matching
 
 __version__ = "0.1.0"
@@ -30,12 +24,10 @@ __all__ = [
     "COST_FUNCTIONS",
     "DominanceReport",
     "POLICY_NAMES",
-    "PreceqAuditReport",
     "SimConfig",
     "SystemParams",
     "enumerate_matchings",
     "max_weight_matching",
-    "per_slot_preceq_audit",
     "preceq_p",
     "reachable_below",
     "register_cost_function",

@@ -68,6 +68,7 @@ the rest only two occupancy sums: its memory does not grow with the horizon.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, perm
@@ -106,6 +107,20 @@ _MIN_SEGMENT = 32
 _UNSERVICEABLE = -(2.0**58)
 
 
+def require_integers(obj, *fields: str) -> None:
+    """Raise ValueError unless each named field of ``obj`` is an integer.
+
+    A float such as 2.0 would pass the range checks and fail late in numpy,
+    and a float seed would silently run the seed it truncates to.
+    """
+    for field in fields:
+        value = getattr(obj, field)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{field} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Symmetric system: every queue shares one arrival and one connectivity rate."""
@@ -116,6 +131,7 @@ class SystemParams:
     arrival_prob: float
 
     def __post_init__(self):
+        require_integers(self, "n_queues", "n_servers")
         if self.n_queues < 1:
             raise ValueError(f"n_queues must be >= 1, got {self.n_queues}")
         if self.n_servers < 1:

@@ -47,6 +47,7 @@ class SimConfig:
     initial_state: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        engine.require_integers(self, "horizon", "replications", "record_interval", "seed")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.replications < 1:
@@ -385,35 +386,17 @@ def _stability_check(sums: np.ndarray, reps: int, horizon: int) -> StabilityChec
 _AUDIT_BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class PreceqAuditReport:
-    """Slot-by-slot comparison of the mwm trajectory against a baseline's.
+def order_audit_lines(config: SimConfig) -> list[str]:
+    """Report, slot by slot, whether the mwm state stays below the baseline's.
 
-    Exploratory: a slot where the mwm state is not below the baseline state
-    in the partial order is reported, not treated as an error.
+    ``config.policies`` is ``(mwm,)`` or ``(mwm, baseline)``; the two run on
+    shared sample paths, and every slot of every replication is checked with
+    the closed-form order test. Exploratory: a slot where the mwm state is
+    not below the baseline state is listed, not treated as an error.
     """
-
-    baseline: str
-    replications: int
-    horizon: int
-    slots_checked: int
-    slots_holding: int
-    failures: tuple[tuple[int, int, QueueState, QueueState], ...]
-
-    @property
-    def fraction_holding(self) -> float:
-        return self.slots_holding / self.slots_checked if self.slots_checked else 1.0
-
-
-def per_slot_preceq_audit(config: SimConfig, baseline: str) -> PreceqAuditReport:
-    """Check, on coupled paths, whether the mwm state stays below the baseline's.
-
-    Every slot of every replication is checked with the closed-form order
-    test, so the audit runs at any system size and horizon.
-    """
-    if baseline not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {baseline!r}")
-    names = tuple(dict.fromkeys((MWM, baseline)))
+    names = config.policies
+    if names[0] != MWM or len(names) > 2:
+        raise ValueError(f"the audit runs (mwm,) or (mwm, baseline), got {names}")
     n = config.params.n_queues
     horizon = config.horizon
     # every slot's state is kept, so blocks of replications bound the memory
@@ -428,31 +411,22 @@ def per_slot_preceq_audit(config: SimConfig, baseline: str) -> PreceqAuditReport
         holding += int(below.sum())
         for r, t in zip(*np.nonzero(~below)):
             xm, xb = states[[0, -1], r, t].tolist()
-            failures.append((first + int(r), int(t) + 1, tuple(xm), tuple(xb)))
-    return PreceqAuditReport(
-        baseline=baseline,
-        replications=config.replications,
-        horizon=config.horizon,
-        slots_checked=config.replications * config.horizon,
-        slots_holding=holding,
-        failures=tuple(failures),
-    )
-
-
-def format_audit_report(report: PreceqAuditReport) -> str:
-    lines = [
+            failures.append(
+                f"  NOT BELOW replication={first + int(r)} slot={int(t) + 1} "
+                f"mwm={tuple(xm)} baseline={tuple(xb)}"
+            )
+    checked = config.replications * horizon
+    return [
         "per-slot partial-order audit (exploratory)",
-        f"  baseline: {report.baseline}",
-        f"  replications: {report.replications}, horizon: {report.horizon}",
-        f"  slots checked: {report.slots_checked}",
-        f"  slots where mwm state is below baseline: {report.slots_holding}",
-        f"  fraction holding: {report.fraction_holding!r}",
+        f"  baseline: {names[-1]}",
+        f"  replications: {config.replications}, horizon: {horizon}",
+        f"  slots checked: {checked}",
+        f"  slots where mwm state is below baseline: {holding}",
+        f"  fraction holding: {holding / checked!r}",
         # No slot is skipped; perfbench/check.py and perfbench/run.py parse this line.
         "  slots skipped by search guard: 0",
+        *failures,
     ]
-    for r, t, xm, xb in report.failures:
-        lines.append(f"  NOT BELOW replication={r} slot={t} mwm={xm} baseline={xb}")
-    return "\n".join(lines)
 
 
 # --- file output -------------------------------------------------------------

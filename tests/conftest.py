@@ -23,3 +23,19 @@ def sweep_3x2():
     from mwmlab.balance import sweep_lemmas
 
     return sweep_lemmas(max_n=3, max_k=2, max_x=2)
+
+
+# The boxes the sweep covers in well under a second each: about 130 and 45
+# times the instances of the two above.
+@pytest.fixture(scope="session")
+def sweep_4x2():
+    from mwmlab.balance import sweep_lemmas
+
+    return sweep_lemmas(max_n=4, max_k=2, max_x=4)
+
+
+@pytest.fixture(scope="session")
+def sweep_3x3():
+    from mwmlab.balance import sweep_lemmas
+
+    return sweep_lemmas(max_n=3, max_k=3, max_x=3)

@@ -60,28 +60,25 @@ def test_criterion_1_matching_oracle_equivalence():
     )
 
 
-def test_criterion_2_weight_increase_exhaustive(sweep_2x2, sweep_3x2):
-    bad = len(sweep_2x2.weight_increase_violations) + len(
-        sweep_3x2.weight_increase_violations
-    )
-    pairs = sweep_2x2.reallocation_pairs + sweep_3x2.reallocation_pairs
-    elapsed = sweep_2x2.elapsed_seconds + sweep_3x2.elapsed_seconds
+def test_criterion_2_weight_increase_exhaustive(sweep_2x2, sweep_3x2, sweep_4x2, sweep_3x3):
+    sweeps = (sweep_2x2, sweep_3x2, sweep_4x2, sweep_3x3)
+    bad = sum(len(s.weight_increase_violations) for s in sweeps)
+    pairs = sum(s.reallocation_pairs for s in sweeps)
+    elapsed = sum(s.elapsed_seconds for s in sweeps)
     _report(
         2,
         bad == 0 and elapsed < 300.0,
-        f"{pairs} reallocation pairs across both sweeps, {bad} violations, "
+        f"{pairs} reallocation pairs across {len(sweeps)} sweeps, {bad} violations, "
         f"{elapsed:.1f}s (target < 300s)",
     )
 
 
-def test_criterion_3_existence_biconditional(sweep_2x2, sweep_3x2):
-    bad = (
-        len(sweep_2x2.biconditional_violations)
-        + len(sweep_3x2.biconditional_violations)
-        + len(sweep_2x2.unreachable_optimum)
-        + len(sweep_3x2.unreachable_optimum)
+def test_criterion_3_existence_biconditional(sweep_2x2, sweep_3x2, sweep_4x2, sweep_3x3):
+    sweeps = (sweep_2x2, sweep_3x2, sweep_4x2, sweep_3x3)
+    bad = sum(
+        len(s.biconditional_violations) + len(s.unreachable_optimum) for s in sweeps
     )
-    instances = sweep_2x2.instances + sweep_3x2.instances
+    instances = sum(s.instances for s in sweeps)
     _report(
         3,
         bad == 0,

@@ -13,6 +13,7 @@ import random
 import tracemalloc
 from collections import deque
 from itertools import product
+from math import comb, perm
 
 import numpy as np
 import pytest
@@ -416,7 +417,7 @@ class TestSweep:
 
         def drop_edges_of_two_instances(x, c, table):
             weights, c1, c2 = kernel(x, c, table)
-            if x.shape[1] == 2:
+            if c.shape[1:] == (2, 1):
                 hit = (x == (1, 2)).all(axis=1) | (x == (2, 1)).all(axis=1)
                 hit &= c.all(axis=(1, 2))
                 c1[hit] = c2[hit] = False
@@ -426,13 +427,16 @@ class TestSweep:
         # N=2, K=1 has 3 matchings and 4 connectivities an x, so at 36 cells
         # a block of the listing pass holds 4 instances: x=(1, 2) with both
         # queues connected is instance 23, in block 5, and x=(2, 1) is
-        # instance 31, in block 7
+        # instance 31, in block 7; the larger box runs at the shipped block size
         reports = []
-        for cells in (1, 36, 1 << 30):
+        shipped = balance._BLOCK_CELLS
+        for ranges, cells in (
+            ((2, 1, 2), 1), ((2, 1, 2), 36), ((2, 1, 2), 1 << 30), ((4, 2, 4), shipped),
+        ):
             monkeypatch.setattr(balance, "_BLOCK_CELLS", cells)
-            lines = self._report_without_time(2, 1, 2)
+            lines = self._report_without_time(*ranges)
             reports.append([line for line in lines if "VIOLATION" in line])
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1] == reports[2] == reports[3]
         first = "N=2 K=1 x=(1, 2) c=((1,), (1,))"
         second = "N=2 K=1 x=(2, 1) c=((1,), (1,))"
         assert reports[0] == [
@@ -469,22 +473,23 @@ class TestSweep:
 
         def drop_edges_of_one_instance(x, c, table):
             weights, c1, c2 = kernel(x, c, table)
-            if x.shape[1] == 2:
+            if c.shape[1:] == (2, 1):
                 hit = (x == (1, 2)).all(axis=1) & c.all(axis=(1, 2))
                 c1[hit] = c2[hit] = False
             return weights, c1, c2
 
         monkeypatch.setattr(balance, "_reallocation_kernel", drop_edges_of_one_instance)
         inst = "N=2 K=1 x=(1, 2) c=((1,), (1,))"
-        lines = self._report_without_time(2, 1, 2)
-        assert [line for line in lines if "VIOLATION" in line] == [
-            f"  VIOLATION [biconditional] {inst} m=() weight=0 opt=2 reallocations=0",
-            f"  VIOLATION [biconditional] {inst} m=((0, 0),) weight=1 opt=2 "
-            "reallocations=0",
-            f"  VIOLATION [unreachable] {inst} m=() weight=0 opt=2",
-            f"  VIOLATION [unreachable] {inst} m=((0, 0),) weight=1 opt=2",
-        ]
-        assert lines[-1] == "total violations: 4"
+        for ranges in ((2, 1, 2), (4, 2, 4)):
+            lines = self._report_without_time(*ranges)
+            assert [line for line in lines if "VIOLATION" in line] == [
+                f"  VIOLATION [biconditional] {inst} m=() weight=0 opt=2 reallocations=0",
+                f"  VIOLATION [biconditional] {inst} m=((0, 0),) weight=1 opt=2 "
+                "reallocations=0",
+                f"  VIOLATION [unreachable] {inst} m=() weight=0 opt=2",
+                f"  VIOLATION [unreachable] {inst} m=((0, 0),) weight=1 opt=2",
+            ]
+            assert lines[-1] == "total violations: 4"
 
     def test_failed_matrix_with_a_zero_row_lists_each_instance(self, monkeypatch):
         kernel = balance._reallocation_kernel
@@ -497,22 +502,30 @@ class TestSweep:
             return weights, c1, c2
 
         monkeypatch.setattr(balance, "_reallocation_kernel", drop_edges_of_one_matrix)
-        # w = ((0,), (2,)) is the weight matrix of four instances
-        insts = [f"N=2 K=1 x={x} c=(({c0},), (1,))"
-                 for x, c0 in (((0, 2), 0), ((0, 2), 1), ((1, 2), 0), ((2, 2), 0))]
-        expected = [
-            f"  VIOLATION [biconditional] {inst} m={m} weight=0 opt=2 reallocations=0"
-            for inst in insts for m in ((), ((0, 0),))
-        ] + [
-            f"  VIOLATION [unreachable] {inst} m={m} weight=0 opt=2"
-            for inst in insts for m in ((), ((0, 0),))
-        ]
+
+        def expected(max_x):
+            # w = ((0,), (2,)) is the weight matrix of max_x + 2 instances
+            insts = [f"N=2 K=1 x={x} c=(({c0},), (1,))" for x, c0 in (
+                ((0, 2), 0), ((0, 2), 1), *(((m, 2), 0) for m in range(1, max_x + 1))
+            )]
+            return [
+                f"  VIOLATION [biconditional] {inst} m={m} weight=0 opt=2 reallocations=0"
+                for inst in insts for m in ((), ((0, 0),))
+            ] + [
+                f"  VIOLATION [unreachable] {inst} m={m} weight=0 opt=2"
+                for inst in insts for m in ((), ((0, 0),))
+            ]
+
         shipped = balance._BLOCK_CELLS
-        for cells in (1, shipped, 1 << 30):
+        # the larger box runs at the shipped block size
+        for ranges, cells in (
+            ((2, 1, 2), 1), ((2, 1, 2), shipped), ((2, 1, 2), 1 << 30), ((4, 2, 4), shipped),
+        ):
             monkeypatch.setattr(balance, "_BLOCK_CELLS", cells)
-            lines = self._report_without_time(2, 1, 2)
-            assert [line for line in lines if "VIOLATION" in line] == expected
-            assert lines[-1] == "total violations: 16"
+            lines = self._report_without_time(*ranges)
+            violations = expected(ranges[2])
+            assert [line for line in lines if "VIOLATION" in line] == violations
+            assert lines[-1] == f"total violations: {len(violations)}"
 
     @pytest.mark.parametrize("ranges, instances, pairs", [
         ((3, 2, 3), 57344, 176367), ((2, 3, 3), 15488, 43023), ((4, 1, 4), 54320, 55144),
@@ -522,6 +535,26 @@ class TestSweep:
         # each weight matrix's pairs count once for every instance sharing it
         report = sweep_lemmas(*ranges)
         assert (report.instances, report.reallocation_pairs) == (instances, pairs)
+        assert report.violation_count == 0
+
+    @pytest.mark.parametrize("sweep, ranges, instances, pairs", [
+        ("sweep_2x2", (2, 2, 3), 2048, 2703),
+        ("sweep_3x2", (3, 2, 2), 24492, 67424),
+        ("sweep_4x2", (4, 2, 4), 3521180, 20489720),
+        ("sweep_3x3", (3, 3, 3), 1184896, 10925103),
+    ], ids=["2-2-3", "3-2-2", "4-2-4", "3-3-3"])
+    def test_acceptance_boxes_check_every_instance(self, request, sweep, ranges, instances, pairs):
+        # every (x, c, matching) of every shape: (max_x + 1)^N states, 2^(NK)
+        # connectivities and sum_j C(N, j) P(K, j) matchings of j pairs
+        max_n, max_k, max_x = ranges
+        closed_form = sum(
+            (max_x + 1) ** n * 2 ** (n * k)
+            * sum(comb(n, j) * perm(k, j) for j in range(min(n, k) + 1))
+            for n in range(1, max_n + 1) for k in range(1, max_k + 1)
+        )
+        report = request.getfixturevalue(sweep)
+        assert report.instances == closed_form == instances
+        assert report.reallocation_pairs == pairs
         assert report.violation_count == 0
 
     def test_solver_mismatch_is_reported(self, monkeypatch):
@@ -534,12 +567,13 @@ class TestSweep:
             return servers
 
         monkeypatch.setattr(balance, "max_weight_servers", drop_one_pair)
-        lines = self._report_without_time(2, 2, 1)
-        assert [line for line in lines if "VIOLATION" in line] == [
-            "  VIOLATION [solver] N=2 K=2 x=(1, 1) c=((1, 0), (0, 1)) solver=((0, 0),)"
-        ]
-        assert "  solver-vs-enumeration mismatches: 1" in lines
-        assert lines[-1] == "total violations: 1"
+        for ranges in ((2, 2, 1), (3, 3, 3)):
+            lines = self._report_without_time(*ranges)
+            assert [line for line in lines if "VIOLATION" in line] == [
+                "  VIOLATION [solver] N=2 K=2 x=(1, 1) c=((1, 0), (0, 1)) solver=((0, 0),)"
+            ]
+            assert "  solver-vs-enumeration mismatches: 1" in lines
+            assert lines[-1] == "total violations: 1"
 
     def test_report_formatting(self):
         report = sweep_lemmas(1, 1, 1)

@@ -361,10 +361,10 @@ class TestAuditOrder:
     def test_out_dir_under_a_regular_file_fails_before_the_audit(
         self, capsys, tmp_path, monkeypatch
     ):
-        def no_audit(config, baseline):
+        def no_audit(config):
             raise AssertionError("the audit ran before its directory was made")
 
-        monkeypatch.setattr(harness, "per_slot_preceq_audit", no_audit)
+        monkeypatch.setattr(harness, "order_audit_lines", no_audit)
         (tmp_path / "file").write_text("", encoding="utf-8")
         out_dir = tmp_path / "file" / "out"
         code, out, err = run_cli(

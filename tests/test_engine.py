@@ -295,7 +295,7 @@ def test_chunk_size_does_not_change_the_outputs(cells, monkeypatch):
     assert same_experiment(run_experiment(cfg), default)
 
 
-def test_audit_chunk_and_block_sizes_do_not_change_states(monkeypatch):
+def test_chunk_size_and_replication_blocks_do_not_change_every_slot_states(monkeypatch):
     cfg = shape_config(3, 2, 97)
     every_slot = range(1, 98)
     whole = engine.simulate(cfg, cfg.policies, range(3), every_slot).states

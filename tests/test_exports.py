@@ -39,3 +39,24 @@ def test_readme_layout_names_every_module():
     block = block[: re.search(r"^\S", block, re.M).start()]  # up to the next directory
     listed = re.findall(r"^  (\S+\.py) ", block, re.M)
     assert sorted(listed) == sorted(p.name for p in (root / "src" / "mwmlab").glob("*.py"))
+
+
+def test_readme_quickstart_runs_and_its_values_hold():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Library quickstart", 1)[1]
+    block = quickstart.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        # an expression followed by `# value` on its last line must equal that value
+        tail = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if isinstance(stmt, ast.Expr) and tail.startswith("#"):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            assert eval(code, namespace) == ast.literal_eval(tail[1:].strip()), (
+                ast.get_source_segment(block, stmt)
+            )
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked

@@ -17,9 +17,8 @@ from mwmlab.harness import (
     SimConfig,
     clopper_pearson_table,
     dominance_csv_lines,
-    format_audit_report,
     format_dominance_summary,
-    per_slot_preceq_audit,
+    order_audit_lines,
     run_experiment,
     sampled_slots,
     trace_csv_lines,
@@ -103,6 +102,20 @@ class TestSimConfig:
             make_config(record_interval=0)
         with pytest.raises(ValueError):
             make_config(initial_state=(1, 2))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_queues", 3.0), ("n_servers", 2.0), ("horizon", 64.0),
+         ("replications", 8.0), ("record_interval", 2.5), ("seed", 1.5)],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # a float passed the range checks, then failed in numpy or ran int(seed)
+        params = dict(n_queues=3, n_servers=2, connect_prob=0.5, arrival_prob=0.25)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            if field in params:
+                make_config(params=SystemParams(**{**params, field: value}))
+            else:
+                make_config(**{field: value})
 
     def test_cost_functions_must_be_unique(self):
         with pytest.raises(ValueError, match="cost functions must be unique"):
@@ -496,44 +509,60 @@ def _tail_at_least(k: int, n: int, p: Fraction) -> Fraction:
     return Fraction(total, v**n)
 
 
+def audit_field(lines, name):
+    """The value of the report line ``  <name>: <value>``."""
+    (value,) = [ln.split(": ", 1)[1] for ln in lines if ln.startswith(f"  {name}: ")]
+    return value
+
+
+def not_below(lines):
+    return [ln for ln in lines if ln.startswith("  NOT BELOW ")]
+
+
 class TestAudit:
     def test_self_audit_holds_everywhere(self):
         cfg = make_config(
-            params=SystemParams(2, 1, 0.5, 0.2), horizon=40, replications=5
+            params=SystemParams(2, 1, 0.5, 0.2), horizon=40, replications=5,
+            policies=("mwm",),
         )
-        report = per_slot_preceq_audit(cfg, "mwm")
-        assert report.slots_checked == 200
-        assert report.fraction_holding == 1.0
-        assert report.failures == ()
+        lines = order_audit_lines(cfg)
+        assert audit_field(lines, "slots checked") == "200"
+        assert float(audit_field(lines, "fraction holding")) == 1.0
+        assert not_below(lines) == []
 
     def test_zero_arrivals_hold_trivially(self):
         cfg = make_config(
-            params=SystemParams(2, 1, 0.5, 0.0), horizon=30, replications=3
+            params=SystemParams(2, 1, 0.5, 0.0), horizon=30, replications=3,
+            policies=("mwm", "fixed_order"),
         )
-        report = per_slot_preceq_audit(cfg, "fixed_order")
-        assert report.fraction_holding == 1.0
+        lines = order_audit_lines(cfg)
+        assert float(audit_field(lines, "fraction holding")) == 1.0
 
     def test_exploratory_run_reports_fraction(self):
         cfg = make_config(
-            params=SystemParams(2, 1, 0.5, 0.2), horizon=50, replications=20
+            params=SystemParams(2, 1, 0.5, 0.2), horizon=50, replications=20,
+            policies=("mwm", "fixed_order"),
         )
-        report = per_slot_preceq_audit(cfg, "fixed_order")
-        assert 0.0 <= report.fraction_holding <= 1.0
-        assert report.slots_checked == 50 * 20
-        text = format_audit_report(report)
-        assert "fraction holding" in text
+        lines = order_audit_lines(cfg)
+        assert 0.0 <= float(audit_field(lines, "fraction holding")) <= 1.0
+        assert audit_field(lines, "slots checked") == str(50 * 20)
 
-    def test_unknown_baseline(self):
-        with pytest.raises(ValueError):
-            per_slot_preceq_audit(make_config(), "nope")
+    @pytest.mark.parametrize(
+        "policies",
+        [("mwm", "fixed_order", "greedy_lcq"), ("fixed_order", "mwm")],
+        ids=["two-baselines", "mwm-second"],
+    )
+    def test_policies_other_than_mwm_and_one_baseline_are_rejected(self, policies):
+        with pytest.raises(ValueError, match="audit"):
+            order_audit_lines(make_config(policies=policies))
 
     def test_five_queues_long_horizon_matches_oracle(self):
         cfg = make_config(
             params=SystemParams(5, 2, 0.5, 0.2), horizon=80, replications=3,
-            record_interval=1,
+            policies=("mwm", "fixed_order"), record_interval=1,
         )
-        report = per_slot_preceq_audit(cfg, "fixed_order")
-        assert report.slots_checked == 3 * 80
+        lines = order_audit_lines(cfg)
+        assert audit_field(lines, "slots checked") == str(3 * 80)
         holding = 0
         block = engine.simulate(
             cfg, ("mwm", "fixed_order"), range(cfg.replications), every_slot(cfg)
@@ -542,8 +571,8 @@ class TestAudit:
             holding += sum(
                 tuple(xm[t]) in bfs_lower_set(xb[t]) for t in range(cfg.horizon)
             )
-        assert report.slots_holding == holding
-        assert len(report.failures) == report.slots_checked - holding
+        assert audit_field(lines, "slots where mwm state is below baseline") == str(holding)
+        assert len(not_below(lines)) == 3 * 80 - holding
 
 
 class TestCsvShapes:
