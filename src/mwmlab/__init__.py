@@ -9,7 +9,6 @@ from .balance import (
     COST_FUNCTIONS,
     preceq_p,
     reachable_below,
-    register_cost_function,
     sweep_lemmas,
     total_occupancy,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "max_weight_matching",
     "preceq_p",
     "reachable_below",
-    "register_cost_function",
     "run_experiment",
     "sweep_lemmas",
     "total_occupancy",

@@ -6,8 +6,8 @@ balancing interchange (move one packet from a strictly larger entry to a
 strictly smaller one without overshooting). Its transitive closure is weak
 submajorization (Marshall, Olkin & Arnold, *Inequalities: Theory of
 Majorization*, 5.A.9; Muirhead 1903 for integer unit transfers), so it is
-tested in closed form on sorted prefix sums. The cost functions registered
-here are monotone with respect to it.
+tested in closed form on sorted prefix sums. The costs in ``COST_FUNCTIONS``
+are increasing and Schur-convex, so monotone with respect to it (MOA 3.A.8).
 
 A balancing server reallocation replaces the slot's matching with one whose
 post-service vector either componentwise decreases with a strict decrease
@@ -21,7 +21,6 @@ a system only through its weight matrix, so each distinct matrix runs once.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -99,58 +98,11 @@ def sum_of_squares(x: Sequence[int]) -> int:
     return sum(v * v for v in x)
 
 
-def verify_monotone_on_pairs(
-    fn: Callable[[Sequence[int]], int],
-    pairs: Iterable[tuple[QueueState, QueueState]],
-) -> list[tuple[QueueState, QueueState]]:
-    """Violations of ``fn(below) <= fn(above)`` over ordered pairs; empty means pass."""
-    return [(lo, hi) for lo, hi in pairs if fn(lo) > fn(hi)]
-
-
-def default_monotonicity_pairs() -> list[tuple[QueueState, QueueState]]:
-    """Deterministic ordered pairs used to gate cost-function registration."""
-    tops = [(3, 1, 0), (2, 2, 2), (4, 0), (1, 2, 3, 0)]
-    pairs = []
-    for top in tops:
-        for below in sorted(reachable_below(top)):
-            pairs.append((below, top))
-    return pairs
-
-
 COST_FUNCTIONS: dict[str, Callable[[Sequence[int]], int]] = {
     "total_occupancy": total_occupancy,
     "max_queue": max_queue,
     "sum_of_squares": sum_of_squares,
 }
-
-
-def register_cost_function(name: str, fn: Callable[[Sequence[int]], int]) -> None:
-    """Register a cost function after checking it on a fixed sample of ordered pairs.
-
-    Only integer-valued functions that never decrease when moving up the
-    order may be registered: the thresholds ``r`` of the tail probabilities
-    are integers, and the report counts costs in int64. A single value that
-    ``operator.index`` refuses, or a single violation of monotonicity,
-    rejects the candidate. The functions monotone in this order are the
-    increasing Schur-convex ones (MOA 3.A.8); ``total_occupancy``,
-    ``max_queue`` and ``sum_of_squares`` are all in that class.
-    """
-    pairs = default_monotonicity_pairs()
-    for state in dict.fromkeys(v for pair in pairs for v in pair):
-        value = fn(state)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(
-                f"{name} must return integers: f({state}) = {value!r}"
-            ) from None
-    bad = verify_monotone_on_pairs(fn, pairs)
-    if bad:
-        lo, hi = bad[0]
-        raise ValueError(
-            f"{name} is not monotone: f({lo}) = {fn(lo)} > f({hi}) = {fn(hi)}"
-        )
-    COST_FUNCTIONS[name] = fn
 
 
 # --- balancing server reallocations ---------------------------------------

@@ -68,7 +68,7 @@ def _queue_lengths(key: str, raw: str) -> tuple[int, ...] | None:
     if raw == "zeros":
         return None
     try:
-        return tuple(int(v) for v in raw.split(",") if v.strip())
+        return tuple(int(v) for v in raw.split(","))
     except ValueError:
         raise CliError(f"{key} must be comma-separated integers, got {raw!r}") from None
 

@@ -54,6 +54,9 @@ class SimConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.replications > rng.REPLICATION_LIMIT:
             raise ValueError("replication count exceeds the stream key space")
+        for key in ("policies", "cost_functions"):
+            if isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a sequence of names, not a string")
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ValueError(
@@ -84,8 +87,8 @@ class SimConfig:
                     f"initial state has {len(state)} entries for "
                     f"{self.params.n_queues} queues"
                 )
-        # Every reachable state lies componentwise below this corner, so a
-        # registered (monotone) cost is largest there; the report counts in int64.
+        # Every reachable state lies componentwise below this corner, so each
+        # (increasing) cost in COST_FUNCTIONS is largest there; the report counts in int64.
         top = max(self.start_state()) + self.horizon
         if top >= _STATE_LIMIT:
             raise ValueError("initial queue lengths plus the horizon must stay below 2**48")

@@ -14,7 +14,6 @@ from mwmlab.balance import (
     COST_FUNCTIONS,
     preceq_p,
     reachable_below,
-    verify_monotone_on_pairs,
 )
 from mwmlab.engine import SystemParams
 from mwmlab.harness import (
@@ -99,7 +98,7 @@ def test_criterion_4_order_monotonicity_and_transitivity():
         for below in rnd.sample(lower, take):
             pairs.append((below, x))
     bad = {
-        name: len(verify_monotone_on_pairs(fn, pairs))
+        name: sum(fn(lo) > fn(hi) for lo, hi in pairs)
         for name, fn in COST_FUNCTIONS.items()
     }
     triples_checked = 0

@@ -136,14 +136,16 @@ class TestParsing:
         assert code == 2
         assert f"unknown key '{line.split()[0]}'" in err
 
-    def test_bad_initial_state(self, capsys, tmp_path):
+    @pytest.mark.parametrize("raw", ["1,oops", "1,,2", "1,2,", ",1,2"])
+    def test_bad_initial_state(self, capsys, tmp_path, raw):
+        out_dir = tmp_path / "out"
         code, out, err = run_cli(
-            ["simulate", *SIM_FLAGS, "--initial-state", "1,oops",
-             "--out-dir", str(tmp_path)],
+            ["simulate", *SIM_FLAGS, "--initial-state", raw, "--out-dir", str(out_dir)],
             capsys,
         )
         assert code == 2
-        assert "initial_state" in err
+        assert f"initial_state must be comma-separated integers, got {raw!r}" in err
+        assert not out_dir.exists()
 
 
 COMMAND_OF = {"desk_scale.cfg": "simulate", "order_audit.cfg": "audit-order"}

@@ -117,6 +117,15 @@ class TestSimConfig:
             else:
                 make_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value", [("policies", "mwm"), ("cost_functions", "total_occupancy")]
+    )
+    def test_name_lists_must_not_be_strings(self, field, value):
+        # a string is a sequence of one-letter names, so 'mwm' would read as policy 'm'
+        message = f"^{field} must be a sequence of names, not a string$"
+        with pytest.raises(ValueError, match=message):
+            make_config(**{field: value})
+
     def test_cost_functions_must_be_unique(self):
         with pytest.raises(ValueError, match="cost functions must be unique"):
             make_config(cost_functions=("max_queue", "total_occupancy", "max_queue"))
