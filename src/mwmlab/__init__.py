@@ -5,13 +5,7 @@ queue evolution on coupled random streams, balancing-order verifiers, and a
 coupled Monte Carlo harness for comparing server assignment policies.
 """
 
-from .balance import (
-    COST_FUNCTIONS,
-    preceq_p,
-    reachable_below,
-    sweep_lemmas,
-    total_occupancy,
-)
+from .balance import COST_FUNCTIONS, preceq_p, sweep_lemmas, total_occupancy
 from .engine import POLICY_NAMES, Block, SystemParams
 from .harness import DominanceReport, SimConfig, run_experiment
 from .matching import enumerate_matchings, max_weight_matching
@@ -28,7 +22,6 @@ __all__ = [
     "enumerate_matchings",
     "max_weight_matching",
     "preceq_p",
-    "reachable_below",
     "run_experiment",
     "sweep_lemmas",
     "total_occupancy",

@@ -72,17 +72,6 @@ def weakly_submajorized(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return (lower_sums <= upper_sums).all(axis=-1)
 
 
-def reachable_below(x: Sequence[int]) -> set[QueueState]:
-    """Every vector reachable from ``x``, i.e. the full lower set of ``x``.
-
-    No member has an entry above ``max(x)``, so the set is the part of
-    ``[0..max(x)]^N`` that passes ``preceq_p``.
-    """
-    top = validate_state(x)
-    box = np.indices((max(top) + 1,) * len(top)).reshape(len(top), -1).T
-    return set(map(tuple, box[weakly_submajorized(box, np.array(top))].tolist()))
-
-
 # --- cost functions -------------------------------------------------------
 
 def total_occupancy(x: Sequence[int]) -> int:

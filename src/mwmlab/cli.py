@@ -61,7 +61,10 @@ def _prob(key: str, raw: str) -> float:
 
 
 def _names(key: str, raw: str) -> tuple[str, ...]:
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
+    names = tuple(name.strip() for name in raw.split(","))
+    if not all(names):
+        raise CliError(f"{key} must be comma-separated names, got {raw!r}")
+    return names
 
 
 def _queue_lengths(key: str, raw: str) -> tuple[int, ...] | None:

@@ -171,22 +171,17 @@ def quarter_bounds(horizon: int) -> tuple[int, int, int]:
     return horizon // 2, 3 * horizon // 4, horizon
 
 
-def simulate(
-    config,
-    names: Sequence[str],
-    replications: range,
-    slots: Sequence[int],
-) -> Block:
-    """Advance ``replications`` of a ``harness.SimConfig`` under each of ``names``.
+def simulate(config, replications: range, slots: Sequence[int]) -> Block:
+    """Advance ``replications`` of a ``harness.SimConfig`` under each of its policies.
 
-    ``slots`` are the increasing 1-based slots whose states and matching
-    weights the block keeps.
+    The block's policy axis follows ``config.policies``. ``slots`` are the
+    increasing 1-based slots whose states and matching weights it keeps.
     """
     params = config.params
     n, k = params.n_queues, params.n_servers
     horizon = config.horizon
-    shape = (len(names), len(replications), n)
-    kernel = _kernel(n, k, names)
+    shape = (len(config.policies), len(replications), n)
+    kernel = _kernel(n, k, config.policies)
 
     chunk = min(horizon, max(1, _CHUNK_CELLS // (shape[1] * max(shape[0] * n, n * k))))
     segments = 1
@@ -199,7 +194,7 @@ def simulate(
         (rng.STREAM_CONNECTIVITY, n * k, lambda u: u < params.connect_prob, bool),
         (rng.STREAM_ARRIVALS, n, lambda u: u < params.arrival_prob, bool),
     ]
-    if RANDOM_MAXIMAL in names:
+    if RANDOM_MAXIMAL in config.policies:
         # ranks in the narrowest type that holds N·K, _SplitKernel's unserviceable key
         fits = (t for t in (np.int8, np.int16, np.int32) if n * k <= np.iinfo(t).max)
         reads.append((rng.STREAM_POLICY, n * k, _ranks, next(fits)))

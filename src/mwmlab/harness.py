@@ -191,17 +191,14 @@ def run_experiment(
             range(reps * w // workers, reps * (w + 1) // workers) for w in range(workers)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                engine.simulate, [config] * workers, [config.policies] * workers,
-                blocks, [kept] * workers,
-            ))
+            parts = list(pool.map(engine.simulate, [config] * workers, blocks, [kept] * workers))
         trace = engine.Block(
             sum(part.quarter_sums for part in parts),
             np.concatenate([part.states for part in parts], axis=1),
             np.concatenate([part.mw_index for part in parts], axis=1),
         )
     else:
-        trace = engine.simulate(config, config.policies, range(reps), kept)
+        trace = engine.simulate(config, range(reps), kept)
 
     at_sampled = trace.states[:, :, np.searchsorted(kept, sampled)]
     states = [tuple(x) for x in at_sampled.reshape(-1, at_sampled.shape[-1]).tolist()]
@@ -409,7 +406,7 @@ def order_audit_lines(config: SimConfig) -> list[str]:
     failures = []
     for first in range(0, config.replications, size):
         block = range(first, min(first + size, config.replications))
-        states = engine.simulate(config, names, block, every_slot).states
+        states = engine.simulate(config, block, every_slot).states
         below = weakly_submajorized(states[0], states[-1])
         holding += int(below.sum())
         for r, t in zip(*np.nonzero(~below)):

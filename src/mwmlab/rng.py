@@ -28,44 +28,25 @@ REPLICATION_LIMIT = 1 << 61
 _WORDS_PER_BLOCK = 4
 
 
-def stream_key(seed: int, replication: int, kind: int) -> np.ndarray:
-    """128-bit Philox key for one (seed, replication, kind) stream."""
-    if not 0 <= replication < REPLICATION_LIMIT:
-        raise ValueError(f"replication index {replication} out of range")
-    if kind not in (STREAM_CONNECTIVITY, STREAM_ARRIVALS, STREAM_POLICY):
-        raise ValueError(f"unknown stream kind {kind}")
-    return np.array(
-        [int(seed) & _MASK64, (replication << 2) | kind], dtype=np.uint64
-    )
-
-
-def blocks_per_slot(values_per_slot: int) -> int:
-    """Counter blocks reserved for one slot's draws."""
-    if values_per_slot < 1:
-        raise ValueError("each slot must draw at least one value")
-    return -(-values_per_slot // _WORDS_PER_BLOCK)
-
-
-def slot_stream(
-    seed: int, replication: int, kind: int, slot: int, values_per_slot: int
-) -> Generator:
-    """Generator positioned at the start of 1-based ``slot`` of a stream."""
-    if slot < 1:
-        raise ValueError(f"slot indices are 1-based, got {slot}")
-    counter = (slot - 1) * blocks_per_slot(values_per_slot)
-    bitgen = Philox(key=stream_key(seed, replication, kind), counter=counter)
-    return Generator(bitgen)
-
-
 def slot_chunks(
     seed: int, replication: int, kind: int, values_per_slot: int, chunk: int
 ) -> Iterator[np.ndarray]:
     """A stream's per-slot uniforms from slot 1 on, ``chunk`` slots at a time.
 
+    The stream's key is ``[seed mod 2**64, (replication << 2) | kind]``, and
+    slot t's draws start at counter ``(t - 1) * ceil(values_per_slot / 4)``.
     Each slot's draws fill whole counter blocks, so reading the stream on in
-    pieces continues at the next slot's counter offset.
+    pieces continues at the next slot's counter offset. The arguments are
+    checked at the first ``next``.
     """
-    gen = slot_stream(seed, replication, kind, 1, values_per_slot)
-    width = blocks_per_slot(values_per_slot) * _WORDS_PER_BLOCK
+    if not 0 <= replication < REPLICATION_LIMIT:
+        raise ValueError(f"replication index {replication} out of range")
+    if kind not in (STREAM_CONNECTIVITY, STREAM_ARRIVALS, STREAM_POLICY):
+        raise ValueError(f"unknown stream kind {kind}")
+    if values_per_slot < 1:
+        raise ValueError("each slot must draw at least one value")
+    key = np.array([int(seed) & _MASK64, (replication << 2) | kind], dtype=np.uint64)
+    gen = Generator(Philox(key=key, counter=0))
+    width = -(-values_per_slot // _WORDS_PER_BLOCK) * _WORDS_PER_BLOCK
     while True:
         yield gen.random((chunk, width))[:, :values_per_slot]

@@ -3,21 +3,23 @@
 Everything here works one instance and one slot at a time on Python
 integers: the exact solver as a bitmask DP with its canonical
 reconstruction, the per-slot deciders of the four policies, the service
-update, whole sample paths read from the stream layout, the C1/C2
-classifier of balancing reallocations with the one-step order relation it
-rests on, and the prefix-sum test of that order's closure. None of it
-calls ``mwmlab``'s solver, engine, sweep kernel or order kernel, so those
-are compared against independent code.
+update, the stream layout stated on numpy's Philox and whole sample paths
+read from it, the C1/C2 classifier of balancing reallocations with the
+one-step order relation it rests on, the prefix-sum test of that order's
+closure, and the closure's lower sets by breadth-first search over the
+one-step moves. None of it calls ``mwmlab``'s solver, engine, stream
+layout, sweep kernel or order kernel, so those are compared against
+independent code.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from mwmlab import rng
 from mwmlab.balance import QueueState, validate_state
 from mwmlab.engine import FIXED_ORDER, GREEDY_LCQ, MWM, SystemParams
 from mwmlab.matching import Matching, Pair, validate_weight_matrix
@@ -256,18 +258,36 @@ def serve(
     return tuple(out)
 
 
+# The stream layout of the README's determinism contract: the stream of
+# (seed, replication, kind) is Philox-4x64 under the key
+# [seed mod 2^64, replication << 2 | kind], each counter step gives four
+# doubles, and slot t of a stream drawing v values a slot starts at counter
+# (t - 1) * ceil(v / 4) and reads the first v of them.
+STREAM_CONNECTIVITY, STREAM_ARRIVALS, STREAM_POLICY = 0, 1, 2
+
+
+def slot_stream(
+    seed: int, replication: int, kind: int, slot: int, values_per_slot: int
+) -> np.random.Generator:
+    """Generator at the start of 1-based ``slot`` of a stream."""
+    key = np.array([seed % 2**64, replication << 2 | kind], dtype=np.uint64)
+    counter = (slot - 1) * -(-values_per_slot // 4)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
 def path_uniforms(
     seed: int, replication: int, kind: int, horizon: int, values_per_slot: int
 ) -> np.ndarray:
     """Uniforms for slots 1..horizon of a stream, shape (horizon, values_per_slot).
 
-    Row t-1 is bit-identical to what ``rng.slot_stream(..., t, values_per_slot)``
-    would produce, because each slot's draws are padded out to whole counter
-    blocks.
+    Row t - 1 is slot t's draws: each slot's draws fill whole counter blocks,
+    so slot t + 1 follows slot t's last block.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one slot")
-    return next(rng.slot_chunks(seed, replication, kind, values_per_slot, horizon))
+    width = 4 * -(-values_per_slot // 4)
+    gen = slot_stream(seed, replication, kind, 1, values_per_slot)
+    return gen.random((horizon, width))[:, :values_per_slot]
 
 
 class SamplePath:
@@ -286,9 +306,9 @@ class SamplePath:
         self.replication = replication
         self.horizon = horizon
         n, k = params.n_queues, params.n_servers
-        u_c = path_uniforms(seed, replication, rng.STREAM_CONNECTIVITY, horizon, n * k)
+        u_c = path_uniforms(seed, replication, STREAM_CONNECTIVITY, horizon, n * k)
         self.connectivity = (u_c < params.connect_prob).astype(np.uint8).reshape(horizon, n, k)
-        u_a = path_uniforms(seed, replication, rng.STREAM_ARRIVALS, horizon, n)
+        u_a = path_uniforms(seed, replication, STREAM_ARRIVALS, horizon, n)
         self.arrivals = (u_a < params.arrival_prob).astype(np.uint8)
 
 
@@ -325,6 +345,44 @@ def preceq_p(x_tilde: Sequence[int], x: Sequence[int]) -> bool:
         if run < 0:
             return False
     return True
+
+
+def _successors(v):
+    """Single-step neighbors generating the same closure as the full relation.
+
+    Unit reductions stand in for arbitrary reductions: any componentwise
+    reduction is a chain of them.
+    """
+    n = len(v)
+    for i in range(n):
+        if v[i] > 0:
+            yield v[:i] + (v[i] - 1,) + v[i + 1:]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if v[i] != v[j]:
+                w = list(v)
+                w[i], w[j] = w[j], w[i]
+                yield tuple(w)
+    for i in range(n):
+        for j in range(n):
+            if i != j and v[j] >= v[i] + 2:
+                w = list(v)
+                w[i] += 1
+                w[j] -= 1
+                yield tuple(w)
+
+
+def bfs_lower_set(x):
+    """Reference closure: every vector reachable from ``x`` by one-step moves."""
+    start = tuple(x)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for s in _successors(queue.popleft()):
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return seen
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,10 @@ import random
 import sys
 import time
 
+from reference import bfs_lower_set
+
 from mwmlab import engine
-from mwmlab.balance import (
-    COST_FUNCTIONS,
-    preceq_p,
-    reachable_below,
-)
+from mwmlab.balance import COST_FUNCTIONS, preceq_p
 from mwmlab.engine import SystemParams
 from mwmlab.harness import (
     SimConfig,
@@ -93,7 +91,7 @@ def test_criterion_4_order_monotonicity_and_transitivity():
         x = tuple(rnd.randint(0, 4) for _ in range(n))
         if sum(x) > 12:
             continue
-        lower = sorted(reachable_below(x))
+        lower = sorted(bfs_lower_set(x))
         take = min(len(lower), 200)
         for below in rnd.sample(lower, take):
             pairs.append((below, x))
@@ -107,9 +105,9 @@ def test_criterion_4_order_monotonicity_and_transitivity():
         x = tuple(rnd.randint(0, 3) for _ in range(rnd.randint(1, 4)))
         if sum(x) > 10:
             continue
-        mids = sorted(reachable_below(x))
+        mids = sorted(bfs_lower_set(x))
         mid = mids[rnd.randrange(len(mids))]
-        bots = sorted(reachable_below(mid))
+        bots = sorted(bfs_lower_set(mid))
         bot = bots[rnd.randrange(len(bots))]
         if not (preceq_p(mid, x) and preceq_p(bot, mid) and preceq_p(bot, x)):
             triple_failures += 1
@@ -165,7 +163,7 @@ def test_criterion_6_degenerate_exactness():
         record_interval=1,
     )
     every_slot = range(1, full.horizon + 1)
-    block = engine.simulate(full, full.policies, range(full.replications), every_slot)
+    block = engine.simulate(full, range(full.replications), every_slot)
     collapse_ok = True
     for r in range(full.replications):
         trajectories = [

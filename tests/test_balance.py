@@ -1,8 +1,8 @@
 """Partial-order and reallocation verifier tests.
 
-The independent oracle for the transitive closure is a breadth-first search
-over the one-step moves, checked against the closed-form order kernel on
-every small pair; the kernel is also checked against the scalar prefix-sum
+The independent oracle for the transitive closure is
+``reference.bfs_lower_set``, a breadth-first search over the one-step moves,
+checked against the closed-form order kernel on every small pair; the kernel is also checked against the scalar prefix-sum
 loop ``reference.preceq_p``. The sweep's reallocation kernel and its backward search
 from the optima are checked, one instance at a time, against two oracles:
 the scalar ``balancing_condition`` and ``matching_weight`` of
@@ -26,6 +26,7 @@ from reference import (
     REDUCTION,
     TRANSPOSITION,
     balancing_condition,
+    bfs_lower_set,
     matching_weight,
     preceq_one,
     serve,
@@ -37,7 +38,6 @@ from mwmlab.balance import (
     format_sweep_report,
     max_queue,
     preceq_p,
-    reachable_below,
     sweep_lemmas,
     total_occupancy,
     weakly_submajorized,
@@ -48,44 +48,6 @@ from mwmlab.matching import enumerate_matchings, matching_table
 # server 0: both its reallocations are found by hand, and one reaches the
 # optimum ((0, 1), (1, 0)) of weight 6.
 HAND_EXAMPLE = ((1, 5), ((1, 1), (1, 0)), ((0, 0),))
-
-
-def _successors(v):
-    """Single-step neighbors generating the same closure as the full relation.
-
-    Unit reductions stand in for arbitrary reductions: any componentwise
-    reduction is a chain of them.
-    """
-    n = len(v)
-    for i in range(n):
-        if v[i] > 0:
-            yield v[:i] + (v[i] - 1,) + v[i + 1:]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i] != v[j]:
-                w = list(v)
-                w[i], w[j] = w[j], w[i]
-                yield tuple(w)
-    for i in range(n):
-        for j in range(n):
-            if i != j and v[j] >= v[i] + 2:
-                w = list(v)
-                w[i] += 1
-                w[j] -= 1
-                yield tuple(w)
-
-
-def bfs_lower_set(x):
-    """Reference closure: every vector reachable from ``x`` by one-step moves."""
-    start = tuple(x)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for s in _successors(queue.popleft()):
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return seen
 
 
 def forward_distance(x_prev, c, start):
@@ -206,8 +168,6 @@ class TestPreceqP:
         with pytest.raises(ValueError):
             preceq_p((1.5,), (1,))
         with pytest.raises(ValueError):
-            reachable_below((-1, 2))
-        with pytest.raises(ValueError):
             preceq_p((-1,), (0,))
 
     def test_agrees_with_submajorization_oracle_exhaustively(self):
@@ -217,7 +177,6 @@ class TestPreceqP:
             vectors = [v for v in product(range(5), repeat=n) if sum(v) <= 12]
             for above in vectors:
                 lower_set = bfs_lower_set(above)
-                assert reachable_below(above) == lower_set
                 below = weakly_submajorized(np.array(vectors), np.array(above))
                 assert below.tolist() == [v in lower_set for v in vectors]
                 pairs += len(vectors)
@@ -250,9 +209,9 @@ class TestPreceqP:
             top = tuple(rnd.randint(0, 3) for _ in range(rnd.randint(1, 4)))
             if sum(top) > 10:
                 continue
-            mids = sorted(reachable_below(top))
+            mids = sorted(bfs_lower_set(top))
             mid = mids[rnd.randrange(len(mids))]
-            bots = sorted(reachable_below(mid))
+            bots = sorted(bfs_lower_set(mid))
             bot = bots[rnd.randrange(len(bots))]
             assert preceq_p(mid, top)
             assert preceq_p(bot, mid)
@@ -271,7 +230,7 @@ class TestCostFunctions:
     def test_cost_functions_monotone_on_generated_pairs(self):
         pairs = []
         for top in [(3, 1, 0), (2, 2, 2), (4, 0), (0, 1, 2, 3)]:
-            pairs.extend((below, top) for below in reachable_below(top))
+            pairs.extend((below, top) for below in bfs_lower_set(top))
         for name, fn in COST_FUNCTIONS.items():
             assert [(lo, hi) for lo, hi in pairs if fn(lo) > fn(hi)] == [], name
 

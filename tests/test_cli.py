@@ -148,6 +148,30 @@ class TestParsing:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("policy", "mwm,,fixed_order"), ("policy", ",mwm"), ("policy", "mwm, "),
+         ("policy", ""), ("cost", "total_occupancy,"), ("cost", ",")],
+    )
+    def test_empty_name_in_a_list(self, capsys, tmp_path, key, raw):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, f"--{key}", raw, "--out-dir", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert f"{key} must be comma-separated names, got {raw!r}" in err
+        assert not out_dir.exists()
+
+    def test_names_are_stripped(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, "--policy", " mwm , fixed_order ",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert "policies: mwm, fixed_order" in out
+
+
 COMMAND_OF = {"desk_scale.cfg": "simulate", "order_audit.cfg": "audit-order"}
 
 

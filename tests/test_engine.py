@@ -1,6 +1,7 @@
 """Lockstep engine against a scalar reference simulator and the weighting fact."""
 
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 
 from reference import (
     DETERMINISTIC_DECIDERS,
+    STREAM_ARRIVALS,
+    STREAM_CONNECTIVITY,
+    STREAM_POLICY,
     SamplePath,
     matching_weight,
     max_weight_matching,
@@ -17,7 +21,7 @@ from reference import (
     weight_matrix,
 )
 
-from mwmlab import engine, matching, rng
+from mwmlab import engine, matching
 from mwmlab.engine import POLICY_NAMES, SystemParams
 from mwmlab.harness import SimConfig, run_experiment, sampled_slots
 from mwmlab.matching import enumerate_matchings
@@ -29,7 +33,7 @@ def reference_run(config, policy, replication):
     n, k = params.n_queues, params.n_servers
     path = SamplePath(params, config.seed, replication, config.horizon)
     draws = path_uniforms(
-        config.seed, replication, rng.STREAM_POLICY, config.horizon, n * k
+        config.seed, replication, STREAM_POLICY, config.horizon, n * k
     )
     x = config.start_state()
     states, weights = [x], []
@@ -127,9 +131,9 @@ def assert_matches_reference(cfg, kept, segmentings, monkeypatch):
         monkeypatch.setattr(engine, "_TABLE_MAX_MATCHINGS", limit)
         monkeypatch.setattr(engine, "_SPECULATIVE_ROWS", rows)
         monkeypatch.setattr(engine, "_MIN_SEGMENT", slots)
-        block = engine.simulate(cfg, cfg.policies, reps, kept)
+        block = engine.simulate(cfg, reps, kept)
         whole = block if list(kept) == list(every_slot) else (
-            engine.simulate(cfg, cfg.policies, reps, every_slot)
+            engine.simulate(cfg, reps, every_slot)
         )
         for i, p in enumerate(cfg.policies):
             for r in reps:
@@ -298,10 +302,10 @@ def test_chunk_size_does_not_change_the_outputs(cells, monkeypatch):
 def test_chunk_size_and_replication_blocks_do_not_change_every_slot_states(monkeypatch):
     cfg = shape_config(3, 2, 97)
     every_slot = range(1, 98)
-    whole = engine.simulate(cfg, cfg.policies, range(3), every_slot).states
+    whole = engine.simulate(cfg, range(3), every_slot).states
     monkeypatch.setattr(engine, "_CHUNK_CELLS", 1)
     parts = [
-        engine.simulate(cfg, cfg.policies, range(r, r + 1), every_slot).states
+        engine.simulate(cfg, range(r, r + 1), every_slot).states
         for r in range(3)
     ]
     assert np.array_equal(whole, np.concatenate(parts, axis=1))
@@ -322,7 +326,7 @@ def test_memory_stays_bounded_as_the_horizon_grows(monkeypatch):
         )
         tracemalloc.start()
         try:
-            engine.simulate(cfg, cfg.policies, range(2), experiment_slots(cfg))
+            engine.simulate(cfg, range(2), experiment_slots(cfg))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,19 +404,16 @@ def test_chunk_draws_are_narrow_and_exact(n, k, dtype, monkeypatch):
 
     monkeypatch.setattr(engine, "_advance", advance)
     reps = range(1, 4)
-    engine.simulate(cfg, cfg.policies, reps, [cfg.horizon])
-    reads = [
-        (rng.STREAM_CONNECTIVITY, n * k),
-        (rng.STREAM_ARRIVALS, n),
-        (rng.STREAM_POLICY, n * k),
-    ]
+    engine.simulate(cfg, reps, [cfg.horizon])
+    reads = [(STREAM_CONNECTIVITY, n * k), (STREAM_ARRIVALS, n), (STREAM_POLICY, n * k)]
+    # (slots, R, values) per stream, the three chunks' 48 slots
     streams = [
-        [rng.slot_chunks(cfg.seed, r, kind, values, 16) for r in reps]
+        np.stack([path_uniforms(cfg.seed, r, kind, 48, values) for r in reps], axis=1)
         for kind, values in reads
     ]
     assert len(chunks) == 3
-    for conn, arrivals, ranks in chunks:
-        u = [np.stack([next(s) for s in kind], axis=1) for kind in streams]
+    for i, (conn, arrivals, ranks) in enumerate(chunks):
+        u = [stream[16 * i : 16 * (i + 1)] for stream in streams]
         assert conn.dtype == arrivals.dtype == bool and ranks.dtype == dtype
         assert np.array_equal(conn, (u[0] < cfg.params.connect_prob).reshape(conn.shape))
         assert np.array_equal(arrivals, u[1] < cfg.params.arrival_prob)
@@ -423,13 +424,30 @@ def test_chunk_draws_are_narrow_and_exact(n, k, dtype, monkeypatch):
 def test_narrow_ranks_match_the_scalar_reference(n, k):
     # split-kernel runs whose unserviceable key N K is 127, the int8 limit,
     # and 144, past it, where with N > K the draw order decides which queues
-    # are served; random_maximal alone keeps its keys in the rank type
+    # are served. Only without mwm, whose int64 keys widen the stack, do
+    # random_maximal's keys stay in the rank type, so that case steps the
+    # kernel alone on the ranks the engine reads, in the engine's rank type.
     cfg = shape_config(n, k, 30)
-    every_slot = range(1, cfg.horizon + 1)
-    for names in [("random_maximal",), ("greedy_lcq", "random_maximal", "fixed_order")]:
-        block = engine.simulate(cfg, names, range(cfg.replications), every_slot)
-        for (i, policy), r in product(enumerate(names), range(cfg.replications)):
-            states, weights = reference_run(cfg, policy, r)
+    reps = range(cfg.replications)
+    expected = {p: [reference_run(cfg, p, r) for r in reps] for p in cfg.policies if p != "mwm"}
+    paths = [SamplePath(cfg.params, cfg.seed, r, cfg.horizon) for r in reps]
+    u = np.stack([path_uniforms(cfg.seed, r, STREAM_POLICY, cfg.horizon, n * k) for r in reps])
+    ranks = engine._ranks(u).astype(np.int8 if n * k <= 127 else np.int16)
+    kernel = engine._SplitKernel(n, k, ("random_maximal",))
+    x = np.array([cfg.start_state()] * len(reps))[None]
+    for t in range(cfg.horizon):
+        c = np.array([path.connectivity[t] for path in paths], dtype=bool)
+        served = kernel(x, c, ranks[:, t])
+        weights = (x * served).sum(axis=2)[0].tolist()
+        x = x - served + np.array([path.arrivals[t] for path in paths])
+        for r in reps:
+            states, mw = expected["random_maximal"][r]
+            assert x[0, r].tolist() == list(states[t + 1]) and weights[r] == mw[t]
+    # with mwm in, the rows of the other three against the reference
+    block = engine.simulate(cfg, reps, range(1, cfg.horizon + 1))
+    for (i, policy), r in product(enumerate(cfg.policies), reps):
+        if policy != "mwm":
+            states, weights = expected[policy][r]
             assert block.states[i, r].tolist() == [list(x) for x in states[1:]]
             assert block.mw_index[i, r].tolist() == weights
 
@@ -583,8 +601,8 @@ def test_segments_do_not_change_the_outputs(limit, connect, arrive, monkeypatch)
     calls = count_kernel_calls(monkeypatch)
 
     def outputs():
-        block = engine.simulate(cfg, cfg.policies, range(3), kept)
-        single = engine.simulate(cfg, ("random_maximal",), range(1), kept)
+        block = engine.simulate(cfg, range(3), kept)
+        single = engine.simulate(replace(cfg, policies=("mwm", "random_maximal")), range(1), kept)
         return block, single, run_experiment(cfg)
 
     default = outputs()
@@ -622,7 +640,7 @@ def test_segments_cut_kernel_calls_below_one_a_slot(arrive, monkeypatch):
         record_interval=50,
     )
     calls = count_kernel_calls(monkeypatch)
-    engine.simulate(cfg, cfg.policies, range(2), experiment_slots(cfg))
+    engine.simulate(cfg, range(2), experiment_slots(cfg))
     if arrive == 0.2:
         assert len(calls) < cfg.horizon // 25  # 150
     elif arrive == 0.45:
@@ -647,7 +665,7 @@ def test_memory_stays_bounded_as_segmented_horizons_grow():
         )
         tracemalloc.start()
         try:
-            engine.simulate(cfg, cfg.policies, range(2), experiment_slots(cfg))
+            engine.simulate(cfg, range(2), experiment_slots(cfg))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

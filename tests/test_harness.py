@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,14 +26,17 @@ from mwmlab.harness import (
     write_lines,
 )
 from mwmlab import engine, harness
-from mwmlab import rng
 from reference import (
     DETERMINISTIC_DECIDERS,
+    STREAM_ARRIVALS,
+    STREAM_CONNECTIVITY,
+    STREAM_POLICY,
+    bfs_lower_set,
     matching_weight,
     random_maximal_from_uniforms,
     serve,
+    slot_stream,
 )
-from test_balance import bfs_lower_set
 from test_engine import same_blocks
 
 
@@ -168,15 +172,23 @@ def every_slot(cfg):
     return range(1, cfg.horizon + 1)
 
 
+def run_alone(cfg, policy, replications):
+    """``policy``'s row of an ``engine.simulate`` run of it next to ``mwm`` only."""
+    policies = tuple(dict.fromkeys(("mwm", policy)))
+    block = engine.simulate(replace(cfg, policies=policies), replications, every_slot(cfg))
+    row = slice(policies.index(policy), policies.index(policy) + 1)
+    return engine.Block(block.quarter_sums[row], block.states[row], block.mw_index[row])
+
+
 class TestRunReplication:
-    """One policy through one replication: ``engine.simulate`` with one name."""
+    """One policy through one replication: its row of a run next to ``mwm``."""
 
     def test_no_arrivals_stay_empty(self):
         cfg = make_config(
             params=SystemParams(3, 2, 0.5, 0.0), record_interval=1, horizon=20
         )
         for policy in cfg.policies:
-            block = engine.simulate(cfg, (policy,), range(1), every_slot(cfg))
+            block = run_alone(cfg, policy, range(1))
             assert not block.states.any()
             assert not block.quarter_sums.any()
 
@@ -185,7 +197,7 @@ class TestRunReplication:
             params=SystemParams(3, 2, 0.0, 1.0), horizon=10, record_interval=10
         )
         for policy in cfg.policies:
-            block = engine.simulate(cfg, (policy,), range(1), every_slot(cfg))
+            block = run_alone(cfg, policy, range(1))
             assert block.states[0, 0].tolist() == [[t] * 3 for t in range(1, 11)]
             # 3 t packets at slot t: slots 6..7, then 8..10
             assert block.quarter_sums.tolist() == [[39, 81]]
@@ -194,10 +206,7 @@ class TestRunReplication:
     def test_bit_identical_reruns(self):
         cfg = make_config(record_interval=1)
         for policy in cfg.policies:
-            a, b = (
-                engine.simulate(cfg, (policy,), range(3, 4), every_slot(cfg))
-                for _ in range(2)
-            )
+            a, b = (run_alone(cfg, policy, range(3, 4)) for _ in range(2))
             for field in ("quarter_sums", "states", "mw_index"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
 
@@ -209,29 +218,29 @@ class TestRunReplication:
             record_interval=1,
             policies=("mwm",),
         )
-        block = engine.simulate(cfg, ("mwm",), range(1), every_slot(cfg))
+        block = engine.simulate(cfg, range(1), every_slot(cfg))
         assert block.states[0, 0].tolist() == [[5, 2]] * 4
 
     def test_trace_consistent_with_independent_recomputation(self):
         cfg = make_config(record_interval=1, horizon=40)
         records = trace_records(cfg, run_experiment(cfg)[1])
         for policy in cfg.policies:
-            block = engine.simulate(cfg, (policy,), range(2, 3), every_slot(cfg))
+            block = run_alone(cfg, policy, range(2, 3))
             traced = [
                 rec for rec in records if rec.replication == 2 and rec.policy == policy
             ]
             x = cfg.start_state()
             n, k = cfg.params.n_queues, cfg.params.n_servers
             for t in range(1, cfg.horizon + 1):
-                u_c = rng.slot_stream(cfg.seed, 2, rng.STREAM_CONNECTIVITY, t, n * k)
+                u_c = slot_stream(cfg.seed, 2, STREAM_CONNECTIVITY, t, n * k)
                 c = tuple(
                     tuple(int(v) for v in row)
                     for row in (u_c.random((n, k)) < cfg.params.connect_prob).tolist()
                 )
-                u_a = rng.slot_stream(cfg.seed, 2, rng.STREAM_ARRIVALS, t, n)
+                u_a = slot_stream(cfg.seed, 2, STREAM_ARRIVALS, t, n)
                 a = tuple(int(v) for v in (u_a.random(n) < cfg.params.arrival_prob).tolist())
                 if policy == "random_maximal":
-                    gen = rng.slot_stream(cfg.seed, 2, rng.STREAM_POLICY, t, n * k)
+                    gen = slot_stream(cfg.seed, 2, STREAM_POLICY, t, n * k)
                     m = random_maximal_from_uniforms(x, c, gen.random(n * k))
                 else:
                     m = DETERMINISTIC_DECIDERS[policy](x, c)
@@ -250,9 +259,10 @@ class TestRunReplication:
 
 class TestCoupling:
     def test_policy_results_do_not_depend_on_which_policies_run(self):
-        # each policy sees the same path whether it runs alone, next to the
-        # reference only, or with all four policies in another order; every
-        # slot is recorded, so every slot's state and total is compared
+        # each policy sees the same path whether it runs next to the reference
+        # only, through the engine or the experiment, or with all four
+        # policies in another order; every slot is recorded, so every slot's
+        # state and total is compared
         sizes = dict(horizon=40, replications=4, record_interval=1)
         cfg = make_config(**sizes)
         everyone_cfg = make_config(policies=tuple(reversed(cfg.policies)), **sizes)
@@ -267,7 +277,7 @@ class TestCoupling:
             ]
 
         for policy in cfg.policies:
-            block = engine.simulate(cfg, (policy,), range(cfg.replications), slots)
+            block = run_alone(cfg, policy, range(cfg.replications))
             alone = [
                 (r, t, tuple(x), mw)
                 for r, (states, weights) in enumerate(
@@ -295,7 +305,7 @@ class TestCoupling:
             params=SystemParams(2, 3, 1.0, 0.5), horizon=60, replications=1,
             record_interval=1,
         )
-        block = engine.simulate(cfg, cfg.policies, range(1), every_slot(cfg))
+        block = engine.simulate(cfg, range(1), every_slot(cfg))
         states = dict(zip(cfg.policies, block.states[:, 0].tolist()))
         reference = states["mwm"]
         for policy in cfg.policies:
@@ -573,9 +583,7 @@ class TestAudit:
         lines = order_audit_lines(cfg)
         assert audit_field(lines, "slots checked") == str(3 * 80)
         holding = 0
-        block = engine.simulate(
-            cfg, ("mwm", "fixed_order"), range(cfg.replications), every_slot(cfg)
-        )
+        block = engine.simulate(cfg, range(cfg.replications), every_slot(cfg))
         for xm, xb in zip(*block.states.tolist()):
             holding += sum(
                 tuple(xm[t]) in bfs_lower_set(xb[t]) for t in range(cfg.horizon)

@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 
 from reference import (
     DETERMINISTIC_DECIDERS,
+    STREAM_POLICY,
     decide_fixed_order,
     decide_greedy_lcq,
     decide_mwm,
     matching_weight,
     random_maximal_from_uniforms,
+    slot_stream,
     validate_matching,
 )
 
-from mwmlab import rng
 from mwmlab.engine import POLICY_NAMES
 
 
 def policy_gen(slot: int, n_values: int = 8, seed: int = 123):
-    return rng.slot_stream(seed, 0, rng.STREAM_POLICY, slot, n_values)
+    return slot_stream(seed, 0, STREAM_POLICY, slot, n_values)
 
 
 def random_maximal(x, c, gen):

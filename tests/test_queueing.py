@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import SamplePath, serve
+from reference import STREAM_ARRIVALS, STREAM_CONNECTIVITY, SamplePath, serve, slot_stream
 
-from mwmlab import rng
 from mwmlab.balance import validate_state
 from mwmlab.engine import SystemParams
 from mwmlab.matching import enumerate_matchings
@@ -130,10 +129,10 @@ class TestStreamLayout:
         params = SystemParams(3, 2, 0.35, 0.6)
         path = SamplePath(params, seed=99, replication=4, horizon=20)
         for t in (1, 2, 7, 20):
-            gen_c = rng.slot_stream(99, 4, rng.STREAM_CONNECTIVITY, t, 6)
+            gen_c = slot_stream(99, 4, STREAM_CONNECTIVITY, t, 6)
             c = (gen_c.random((3, 2)) < params.connect_prob).astype(int).tolist()
             assert c == path.connectivity[t - 1].tolist()
-            gen_a = rng.slot_stream(99, 4, rng.STREAM_ARRIVALS, t, 3)
+            gen_a = slot_stream(99, 4, STREAM_ARRIVALS, t, 3)
             a = (gen_a.random(3) < params.arrival_prob).astype(int).tolist()
             assert a == path.arrivals[t - 1].tolist()
 
