@@ -41,6 +41,31 @@ def test_slot_chunks_match_the_stated_layout():
                 assert np.array_equal(got, rows), (seed, replication, kind, values, chunk)
 
 
+def test_slot_stream_matches_path_rows():
+    # the reference positioned at slot t reads row t of the package's stream
+    for values in (1, 3, 4, 7, 8):
+        block = path_uniforms(7, 2, STREAM_CONNECTIVITY, 6, values)
+        assert block.shape == (6, values)
+        rows = next(rng.slot_chunks(7, 2, rng.STREAM_CONNECTIVITY, values, 6))
+        for t in (1, 3, 6):
+            gen = slot_stream(7, 2, STREAM_CONNECTIVITY, t, values)
+            expected = gen.random(values)
+            assert np.array_equal(expected, block[t - 1])
+            assert np.array_equal(expected, rows[t - 1])
+
+
+def test_blocks_per_slot():
+    # each slot fills ceil(values / 4) whole Philox blocks, so slot 2 starts
+    # at that counter of the raw stream
+    key = np.array([5, (1 << 2) | rng.STREAM_ARRIVALS], dtype=np.uint64)
+    for values, blocks in ((1, 1), (4, 1), (5, 2), (8, 2), (9, 3)):
+        rows = next(rng.slot_chunks(5, 1, rng.STREAM_ARRIVALS, values, 2))
+        raw = np.random.Generator(np.random.Philox(key=key, counter=blocks))
+        assert np.array_equal(rows[1], raw.random(values)), values
+    with pytest.raises(ValueError, match="each slot must draw at least one value"):
+        next(rng.slot_chunks(5, 1, rng.STREAM_ARRIVALS, 0, 2))
+
+
 def test_slot_chunks_continue_the_path():
     for values, chunk in ((3, 1), (8, 4), (5, 7), (6, 40)):
         block = path_uniforms(7, 2, STREAM_POLICY, 20, values)
