@@ -74,20 +74,26 @@ def weakly_submajorized(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 # --- cost functions -------------------------------------------------------
 
-def total_occupancy(x: Sequence[int]) -> int:
-    """Total packet count; the system-occupancy cost."""
-    return sum(x)
+def _integers(x: np.ndarray | Sequence[int]) -> np.ndarray:
+    return x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
 
 
-def max_queue(x: Sequence[int]) -> int:
-    return max(x)
+def total_occupancy(x: np.ndarray | Sequence[int]) -> np.ndarray | int:
+    """Total packet count over the last axis; the system-occupancy cost."""
+    return _integers(x).sum(axis=-1)
 
 
-def sum_of_squares(x: Sequence[int]) -> int:
-    return sum(v * v for v in x)
+def max_queue(x: np.ndarray | Sequence[int]) -> np.ndarray | int:
+    return _integers(x).max(axis=-1)
 
 
-COST_FUNCTIONS: dict[str, Callable[[Sequence[int]], int]] = {
+def sum_of_squares(x: np.ndarray | Sequence[int]) -> np.ndarray | int:
+    return (_integers(x) ** 2).sum(axis=-1)
+
+
+# Each cost reduces the last axis: int64 states give int64 costs, and a
+# sequence is read as Python ints, exact past int64 for SimConfig's gate.
+COST_FUNCTIONS: dict[str, Callable[[np.ndarray | Sequence[int]], np.ndarray | int]] = {
     "total_occupancy": total_occupancy,
     "max_queue": max_queue,
     "sum_of_squares": sum_of_squares,

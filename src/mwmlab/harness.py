@@ -201,12 +201,7 @@ def run_experiment(
         trace = engine.simulate(config, range(reps), kept)
 
     at_sampled = trace.states[:, :, np.searchsorted(kept, sampled)]
-    states = [tuple(x) for x in at_sampled.reshape(-1, at_sampled.shape[-1]).tolist()]
-    costs = {
-        name: np.array([COST_FUNCTIONS[name](x) for x in states], dtype=np.int64)
-        .reshape(at_sampled.shape[:3])
-        for name in config.cost_functions
-    }
+    costs = {name: COST_FUNCTIONS[name](at_sampled) for name in config.cost_functions}
     report = _build_report(config, sampled, trace.quarter_sums, costs)
     # when every kept slot is recorded, the trace is the block itself, not a copy
     if len(recorded) < len(kept):
@@ -441,20 +436,19 @@ def trace_csv_lines(config: SimConfig, trace: engine.Block):
             f"trace states {trace.states.shape} and weights {trace.mw_index.shape} "
             f"do not match the config's (policies, replications, slots, queues) {shape}"
         )
-    cost_fns = [(name, COST_FUNCTIONS[name]) for name in config.cost_functions]
     yield (
         "replication,slot,policy,cost_name,cost_value,mw_index,"
         + ",".join(f"x_{i}" for i in range(n))
     )
+    row = "%d,%d,%s,%s,%d" + ",%d" * (1 + n)
     for r in range(config.replications):
-        states = trace.states[:, r].tolist()
-        weights = trace.mw_index[:, r].tolist()
-        for policy, rows, mws in zip(config.policies, states, weights):
-            for t, x, mw in zip(slots, rows, mws):
-                x = tuple(x)
-                state = ",".join(map(str, x))
-                for name, fn in cost_fns:
-                    yield f"{r},{t},{policy},{name},{fn(x)},{mw},{state}"
+        states = trace.states[:, r]
+        costs = np.stack([COST_FUNCTIONS[c](states) for c in config.cost_functions], -1)
+        tails = np.concatenate([trace.mw_index[:, r, :, None], states], axis=-1)
+        for policy, by_slot, tails_p in zip(config.policies, costs.tolist(), tails.tolist()):
+            for t, values, tail in zip(slots, by_slot, tails_p):
+                for name, value in zip(config.cost_functions, values):
+                    yield row % (r, t, policy, name, value, *tail)
 
 
 def dominance_csv_lines(report: DominanceReport, cost: str):

@@ -7,9 +7,9 @@ update, the stream layout stated on numpy's Philox and whole sample paths
 read from it, the C1/C2 classifier of balancing reallocations with the
 one-step order relation it rests on, the prefix-sum test of that order's
 closure, and the closure's lower sets by breadth-first search over the
-one-step moves. None of it calls ``mwmlab``'s solver, engine, stream
-layout, sweep kernel or order kernel, so those are compared against
-independent code.
+one-step moves, and the three costs. None of it calls ``mwmlab``'s solver,
+engine, stream layout, sweep kernel, order kernel or costs, so those are
+compared against independent code.
 """
 
 from __future__ import annotations
@@ -310,6 +310,16 @@ class SamplePath:
         self.connectivity = (u_c < params.connect_prob).astype(np.uint8).reshape(horizon, n, k)
         u_a = path_uniforms(seed, replication, STREAM_ARRIVALS, horizon, n)
         self.arrivals = (u_a < params.arrival_prob).astype(np.uint8)
+
+
+# --- costs ----------------------------------------------------------------
+
+def sum_of_squares(x: Sequence[int]) -> int:
+    return sum(v * v for v in x)
+
+
+# The package's costs by name, on one vector of Python ints.
+COSTS = {"total_occupancy": sum, "max_queue": max, "sum_of_squares": sum_of_squares}
 
 
 # --- balancing order and reallocations ------------------------------------

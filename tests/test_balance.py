@@ -237,6 +237,19 @@ class TestCostFunctions:
     def test_max_queue_drops_under_interchange(self):
         assert max_queue((1, 2)) <= max_queue((0, 3))
 
+    @pytest.mark.parametrize("name", sorted(reference.COSTS))
+    def test_last_axis_of_blocks_and_exact_on_tuples(self, name):
+        fn, ref = COST_FUNCTIONS[name], reference.COSTS[name]
+        block = np.random.default_rng(3).integers(0, 2**20, size=(3, 4, 5, 6))
+        got = fn(block)
+        assert got.shape == (3, 4, 5)
+        assert got.tolist() == [[[ref(x) for x in s] for s in r] for r in block.tolist()]
+        # a sequence of Python ints is not read as int64: total occupancy
+        # 2**63 and sum of squares 2**82 below are exact
+        for x in ((2**62, 2**62), (2**40,) * 4):
+            assert fn(x) == ref(x)
+        assert fn(np.array([3, 0, 7])) == fn((3, 0, 7)) == ref((3, 0, 7))
+
 
 class TestReallocationGraph:
     @pytest.mark.parametrize("n, k, max_x", [(1, 1, 3), (1, 2, 3), (2, 1, 3),

@@ -27,6 +27,7 @@ from mwmlab.harness import (
 )
 from mwmlab import engine, harness
 from reference import (
+    COSTS,
     DETERMINISTIC_DECIDERS,
     STREAM_ARRIVALS,
     STREAM_CONNECTIVITY,
@@ -60,7 +61,7 @@ def trace_records(cfg, trace):
             rows = zip(slots, trace.states[i, r].tolist(), trace.mw_index[i, r].tolist())
             for t, x, mw in rows:
                 x = tuple(x)
-                costs = tuple(COST_FUNCTIONS[name](x) for name in cfg.cost_functions)
+                costs = tuple(COSTS[name](x) for name in cfg.cost_functions)
                 records.append(Record(r, t, policy, x, mw, costs))
     return records
 
@@ -637,7 +638,7 @@ class TestCsvShapes:
         cfg = make_config(
             params=SystemParams(4, 2, 0.5, 0.6), horizon=40, replications=7,
             record_interval=1, policies=("mwm", "greedy_lcq", "fixed_order"),
-            cost_functions=("total_occupancy", "sum_of_squares"),
+            cost_functions=("total_occupancy", "max_queue", "sum_of_squares"),
         )
         report, trace_block = run_experiment(cfg)
         records = trace_records(cfg, trace_block)
