@@ -172,6 +172,15 @@ def _distances_to_optimum(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 # --- exhaustive sweep ------------------------------------------------------
 
+# The sweep's checks in report order: each label and the text of its count line.
+_CHECKS = {
+    "weight-increase": "weight-increase violations",
+    "biconditional": "existence-biconditional violations",
+    "unreachable": "unreachable-optimum counterexamples",
+    "solver": "solver-vs-enumeration mismatches",
+}
+
+
 @dataclass
 class LemmaSweepReport:
     """Outcome of an exhaustive sweep over small instances."""
@@ -181,20 +190,13 @@ class LemmaSweepReport:
     max_x: int
     instances: int = 0
     reallocation_pairs: int = 0
-    weight_increase_violations: list[str] = field(default_factory=list)
-    biconditional_violations: list[str] = field(default_factory=list)
-    unreachable_optimum: list[str] = field(default_factory=list)
-    solver_mismatches: list[str] = field(default_factory=list)
+    # per check label, the instances that fail it
+    violations: dict[str, list[str]] = field(default_factory=lambda: {c: [] for c in _CHECKS})
     elapsed_seconds: float = 0.0
 
     @property
     def violation_count(self) -> int:
-        return (
-            len(self.weight_increase_violations)
-            + len(self.biconditional_violations)
-            + len(self.unreachable_optimum)
-            + len(self.solver_mismatches)
-        )
+        return sum(len(self.violations[label]) for label in _CHECKS)
 
 
 def sweep_lemmas(max_n: int, max_k: int, max_x: int) -> LemmaSweepReport:
@@ -263,8 +265,6 @@ def _sweep_shape(
         pairs, found = _check_block(x, c, table, matchings)
         report.reallocation_pairs += int(pairs @ (rows + 1 + max_x) ** (d == 0).sum(axis=1))
         failed += [start + b for entries in found for b, _ in entries]
-    lists = (report.solver_mismatches, report.weight_increase_violations,
-             report.biconditional_violations, report.unreachable_optimum)
     for start in range(0, math.prod(shape) if failed else 0, block):
         inst = np.arange(start, min(start + block, math.prod(shape)))
         inst = np.stack(np.unravel_index(inst, shape), axis=1)
@@ -272,8 +272,8 @@ def _sweep_shape(
         d = np.where((x > 0) & (c_rows > 0), (x - 1) * rows + c_rows, 0)
         keep = np.isin(np.ravel_multi_index(d.T, digits), failed)
         x, c = x[keep], (c_rows[keep][:, :, None] >> bit) & 1
-        for out, entries in zip(lists, _check_block(x, c, table, matchings)[1]):
-            out.extend(
+        for label, entries in zip(_CHECKS, _check_block(x, c, table, matchings)[1]):
+            report.violations[label].extend(
                 f"N={n_queues} K={n_servers} x={tuple(x[b].tolist())} "
                 f"c={tuple(map(tuple, c[b].tolist()))} {detail}"
                 for b, detail in entries
@@ -285,9 +285,8 @@ def _check_block(
 ) -> tuple[np.ndarray, list[list[tuple[int, str]]]]:
     """Run every check on B instances of one shape: (B, N) ``x``, (B, N, K) ``c``.
 
-    Returns each instance's reallocation pair count and, for the solver,
-    weight-increase, biconditional and unreachable checks in turn, the
-    (instance, detail) of each violation in C order.
+    Returns each instance's reallocation pair count and, for each check in
+    ``_CHECKS`` order, the (instance, detail) of each violation in C order.
     """
     mw, c1, c2 = _reallocation_kernel(x, c, table)
     edges = c1 | c2
@@ -298,13 +297,13 @@ def _check_block(
     servers = max_weight_servers(w)
     solved = (w * (servers[:, :, None] == np.arange(c.shape[2]))).sum(axis=(1, 2))
     return n_out.sum(axis=1), [
-        [(b, f"solver={tuple((q, s) for q, s in enumerate(servers[b].tolist()) if s >= 0)}")
-         for b in np.flatnonzero(solved != opt)],
         [(b, f"m={matchings[i]} -> {matchings[j]} weight {mw[b, i]} -> {mw[b, j]}")
          for b, i, j in _cells(edges & (mw[:, None, :] <= mw[:, :, None]))],
         [(b, f"m={matchings[i]} weight={mw[b, i]} opt={opt[b]} reallocations={n_out[b, i]}")
          for b, i in _cells((mw < opt[:, None]) != (n_out > 0))],
         [(b, f"m={matchings[i]} weight={mw[b, i]} opt={opt[b]}") for b, i in _cells(dist < 0)],
+        [(b, f"solver={tuple((q, s) for q, s in enumerate(servers[b].tolist()) if s >= 0)}")
+         for b in np.flatnonzero(solved != opt)],
     ]
 
 
@@ -322,19 +321,10 @@ def format_sweep_report(report: LemmaSweepReport) -> str:
         f"queue lengths in 0..{report.max_x}",
         f"  instances checked (state, connectivity, matching): {report.instances}",
         f"  reallocation pairs checked: {report.reallocation_pairs}",
-        f"  weight-increase violations: {len(report.weight_increase_violations)}",
-        f"  existence-biconditional violations: {len(report.biconditional_violations)}",
-        f"  unreachable-optimum counterexamples: {len(report.unreachable_optimum)}",
-        f"  solver-vs-enumeration mismatches: {len(report.solver_mismatches)}",
+        *(f"  {text}: {len(report.violations[label])}" for label, text in _CHECKS.items()),
         f"  elapsed seconds: {report.elapsed_seconds:.3f}",
     ]
-    for label, entries in (
-        ("weight-increase", report.weight_increase_violations),
-        ("biconditional", report.biconditional_violations),
-        ("unreachable", report.unreachable_optimum),
-        ("solver", report.solver_mismatches),
-    ):
-        for entry in entries:
-            lines.append(f"  VIOLATION [{label}] {entry}")
+    for label in _CHECKS:
+        lines += (f"  VIOLATION [{label}] {entry}" for entry in report.violations[label])
     lines.append(f"total violations: {report.violation_count}")
     return "\n".join(lines)

@@ -17,6 +17,7 @@ echoed. A key the command does not read is an error. The
 from __future__ import annotations
 
 import argparse
+import errno
 # argparse's message lookup imports locale inside the first command otherwise
 import locale  # noqa: F401
 import os
@@ -240,7 +241,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _check_out_file(path: str) -> None:
+    """Fail as writing ``path`` would if its directory is missing or it is one."""
+    target = Path(path)
+    try:
+        target.parent.stat()  # ENOENT, or ENOTDIR below a file
+        if target.is_dir() or not target.parent.is_dir():
+            code = errno.EISDIR if target.is_dir() else errno.ENOTDIR
+            raise OSError(code, os.strerror(code))
+    except OSError as exc:
+        error = OSError(exc.errno, exc.strerror, path)
+        raise CliError(f"cannot write {path}: {error}") from None
+
+
 def _cmd_verify_lemmas(args) -> int:
+    if args.out:
+        _check_out_file(args.out)
     report = balance.sweep_lemmas(args.max_n, args.max_k, args.max_x)
     text = balance.format_sweep_report(report)
     if args.out:
@@ -266,13 +282,12 @@ def _read_weight_matrix(path: str) -> list[list[int]]:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise CliError(f"{path}: empty weight matrix file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise CliError(f"{path}: first line must be 'N K', got {lines[0]!r}")
     try:
-        n_queues, n_servers = int(head[0]), int(head[1])
-    except ValueError:
+        n_queues, n_servers = map(int, lines[0].split())
+    except ValueError:  # not two fields, or not integers
         raise CliError(f"{path}: first line must be 'N K', got {lines[0]!r}") from None
+    if n_queues < 1 or n_servers < 1:
+        raise CliError(f"{path}: first line must be 'N K' with N, K >= 1, got {lines[0]!r}")
     if len(lines) - 1 != n_queues:
         raise CliError(
             f"{path}: expected {n_queues} weight rows, found {len(lines) - 1}"

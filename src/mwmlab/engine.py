@@ -384,7 +384,7 @@ class _SplitKernel:
 
     def __init__(self, n: int, k: int, names: Sequence[str]):
         self.names = names
-        self.mwm = names.index(MWM) if MWM in names else None
+        self.mwm = names.index(MWM)
         self.edges = n * k
         self.picks = min(n, k)
         self.queue_of, server_of = np.divmod(np.arange(n * k), k)
@@ -406,15 +406,14 @@ class _SplitKernel:
         )
         keys = np.where(serv.reshape(keys.shape), keys, self.edges)
         served = self._greedy(keys.reshape(-1, self.edges)).reshape(x.shape)
-        if self.mwm is not None:
-            m = self.mwm
-            serviceable = serv[m].any(axis=2)
-            open_rows = np.flatnonzero((serviceable > served[m]).any(axis=1))
-            if len(open_rows):
-                hall = self._hall(serv[m, open_rows])
-                served[m, open_rows[hall]] = serviceable[open_rows[hall]]
-                dp = open_rows[~hall]
-                served[m, dp] = max_weight_servers(x[m, dp, :, None] * c[dp]) >= 0
+        m = self.mwm
+        serviceable = serv[m].any(axis=2)
+        open_rows = np.flatnonzero((serviceable > served[m]).any(axis=1))
+        if len(open_rows):
+            hall = self._hall(serv[m, open_rows])
+            served[m, open_rows[hall]] = serviceable[open_rows[hall]]
+            dp = open_rows[~hall]
+            served[m, dp] = max_weight_servers(x[m, dp, :, None] * c[dp]) >= 0
         return served
 
     def _hall(self, serv: np.ndarray) -> np.ndarray:

@@ -131,12 +131,9 @@ class StabilityCheck:
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Aggregated coupled-comparison results."""
+    """Aggregated coupled-comparison results of one config."""
 
-    policies: tuple[str, ...]
-    cost_functions: tuple[str, ...]
-    replications: int
-    horizon: int
+    config: SimConfig
     sampled_slots: tuple[int, ...]
     # (ci_low, ci_high) of each success count k = 0..replications
     intervals: tuple[tuple[float, float], ...]
@@ -351,10 +348,7 @@ def _build_report(config, sampled, quarter_sums, costs) -> DominanceReport:
         }
 
     return DominanceReport(
-        policies=config.policies,
-        cost_functions=config.cost_functions,
-        replications=reps,
-        horizon=config.horizon,
+        config=config,
         sampled_slots=tuple(sampled),
         intervals=intervals,
         thresholds=thresholds,
@@ -454,9 +448,9 @@ def trace_csv_lines(config: SimConfig, trace: engine.Block):
 def dominance_csv_lines(report: DominanceReport, cost: str):
     """Tail-probability rows of one cost; a row's count k picks one of R + 1 strings."""
     yield "slot,r,policy,ccdf,ci_low,ci_high"
-    reps = report.replications
+    reps = report.config.replications
     tails = [f"{k / reps!r},{lo!r},{hi!r}" for k, (lo, hi) in enumerate(report.intervals)]
-    rows = [[f"{p},{tail}" for tail in tails] for p in report.policies]
+    rows = [[f"{p},{tail}" for tail in tails] for p in report.config.policies]
     counts = iter(report.counts[cost])
     for slot in report.sampled_slots:
         for threshold in range(report.thresholds[cost]):
@@ -478,18 +472,19 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 
 def format_dominance_summary(report: DominanceReport) -> str:
+    config = report.config
     lines = [
         "coupled dominance comparison",
-        f"  policies: {', '.join(report.policies)}",
-        f"  cost functions: {', '.join(report.cost_functions)}",
-        f"  replications: {report.replications}, horizon: {report.horizon}",
+        f"  policies: {', '.join(config.policies)}",
+        f"  cost functions: {', '.join(config.cost_functions)}",
+        f"  replications: {config.replications}, horizon: {config.horizon}",
         f"  sampled slots: {', '.join(str(t) for t in report.sampled_slots)}",
     ]
-    for cost in report.cost_functions:
+    for cost in config.cost_functions:
         lines.append(f"  mean {cost} at final sampled slot:")
-        for p in report.policies:
+        for p in config.policies:
             lines.append(f"    {p}: {report.mean_costs[cost][p][-1]!r}")
-    for p in report.policies:
+    for p in config.policies:
         s = report.stability[p]
         note = "FLAGGED: mean occupancy still growing" if s.flagged else "steady"
         lines.append(

@@ -59,7 +59,7 @@ def test_criterion_1_matching_oracle_equivalence():
 
 def test_criterion_2_weight_increase_exhaustive(sweep_2x2, sweep_3x2, sweep_4x2, sweep_3x3):
     sweeps = (sweep_2x2, sweep_3x2, sweep_4x2, sweep_3x3)
-    bad = sum(len(s.weight_increase_violations) for s in sweeps)
+    bad = sum(len(s.violations["weight-increase"]) for s in sweeps)
     pairs = sum(s.reallocation_pairs for s in sweeps)
     elapsed = sum(s.elapsed_seconds for s in sweeps)
     _report(
@@ -73,7 +73,7 @@ def test_criterion_2_weight_increase_exhaustive(sweep_2x2, sweep_3x2, sweep_4x2,
 def test_criterion_3_existence_biconditional(sweep_2x2, sweep_3x2, sweep_4x2, sweep_3x3):
     sweeps = (sweep_2x2, sweep_3x2, sweep_4x2, sweep_3x3)
     bad = sum(
-        len(s.biconditional_violations) + len(s.unreachable_optimum) for s in sweeps
+        len(s.violations["biconditional"]) + len(s.violations["unreachable"]) for s in sweeps
     )
     instances = sum(s.instances for s in sweeps)
     _report(

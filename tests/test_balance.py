@@ -528,6 +528,50 @@ class TestSweep:
             assert "  solver-vs-enumeration mismatches: 1" in lines
             assert lines[-1] == "total violations: 1"
 
+    def test_every_check_is_counted_and_listed_in_report_order(self, monkeypatch):
+        kernel, solve = balance._reallocation_kernel, balance.max_weight_servers
+
+        def break_two_instances(x, c, table):
+            weights, c1, c2 = kernel(x, c, table)
+            if c.shape[1:] == (2, 1):
+                both = c.all(axis=(1, 2))
+                drop = (x == (1, 2)).all(axis=1) & both
+                c1[drop] = c2[drop] = False
+                # a reallocation from matching 1 to matching 0, the empty one
+                c1[(x == (2, 1)).all(axis=1) & both, 1, 0] = True
+            return weights, c1, c2
+
+        def drop_one_pair(w):
+            servers = solve(w)
+            if w.shape[1:] == (2, 2):
+                servers[(w == [[1, 0], [0, 1]]).all(axis=(1, 2)), 1] = -1
+            return servers
+
+        monkeypatch.setattr(balance, "_reallocation_kernel", break_two_instances)
+        monkeypatch.setattr(balance, "max_weight_servers", drop_one_pair)
+        report = sweep_lemmas(3, 2, 2)
+        assert list(report.violations) == [
+            "weight-increase", "biconditional", "unreachable", "solver"
+        ]
+        lines = format_sweep_report(report).splitlines()
+        assert lines[4:8] == [
+            "  weight-increase violations: 1",
+            "  existence-biconditional violations: 2",
+            "  unreachable-optimum counterexamples: 2",
+            "  solver-vs-enumeration mismatches: 1",
+        ]
+        first, second = "N=2 K=1 x=(2, 1) c=((1,), (1,))", "N=2 K=1 x=(1, 2) c=((1,), (1,))"
+        assert [line for line in lines if "VIOLATION" in line] == [
+            f"  VIOLATION [weight-increase] {first} m=((1, 0),) -> () weight 1 -> 0",
+            f"  VIOLATION [biconditional] {second} m=() weight=0 opt=2 reallocations=0",
+            f"  VIOLATION [biconditional] {second} m=((0, 0),) weight=1 opt=2 "
+            "reallocations=0",
+            f"  VIOLATION [unreachable] {second} m=() weight=0 opt=2",
+            f"  VIOLATION [unreachable] {second} m=((0, 0),) weight=1 opt=2",
+            "  VIOLATION [solver] N=2 K=2 x=(1, 1) c=((1, 0), (0, 1)) solver=((0, 0),)",
+        ]
+        assert lines[-1] == "total violations: 6" and report.violation_count == 6
+
     def test_report_formatting(self):
         report = sweep_lemmas(1, 1, 1)
         text = format_sweep_report(report)

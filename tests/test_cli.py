@@ -1,5 +1,6 @@
 """Command line behavior: parsing, validation, files, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from test_acceptance import DESK_SCALE
 
-from mwmlab import cli, harness
+from mwmlab import balance, cli, harness
 from mwmlab.engine import POLICY_NAMES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -19,6 +20,11 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def os_error(code: int, path) -> str:
+    """The text of the OSError ``code`` on ``path``, as ``open`` raises it."""
+    return str(OSError(code, os.strerror(code), str(path)))
 
 
 SIM_FLAGS = [
@@ -74,6 +80,33 @@ class TestParsing:
         )
         assert code == 2
         assert "mystery_cost" in err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--seed", "seed must be an integer, got 'abc'"),
+         ("--p", "p must be a number, got 'abc'")],
+    )
+    def test_unparsable_number_names_the_key(self, capsys, tmp_path, flag, message):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, flag, "abc", "--out-dir", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_unreadable_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "missing.cfg"
+        code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == f"error: cannot read config file {cfg}: {os_error(errno.ENOENT, cfg)}\n"
+
+    def test_config_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("queues = 2\nservers 2\n", encoding="utf-8")
+        code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == f"error: {cfg}:2: expected 'key = value', got 'servers 2'\n"
 
     def test_unknown_config_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -226,6 +259,32 @@ class TestSolveMatching:
         code, out, err = run_cli(["solve-matching", str(tmp_path / "no.txt")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty weight matrix file"),
+         ("2\n1\n2\n", "first line must be 'N K', got '2'"),
+         ("2 x\n1\n2\n", "first line must be 'N K', got '2 x'"),
+         ("2 2\n1 2\n3\n", "row 2 has 1 entries, expected 2"),
+         ("1 2\n1 x\n", "row 1 has a non-integer entry")],
+    )
+    def test_bad_file_names_the_fault(self, capsys, tmp_path, text, message):
+        f = tmp_path / "w.txt"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["solve-matching", str(f)], capsys)
+        assert code == 2
+        assert out == "" and err == f"error: {f}: {message}\n"
+
+    @pytest.mark.parametrize("text", ["1 -2\n5 5\n", "-1 2\n5 5\n", "2 0\n"])
+    def test_header_counts_below_one(self, capsys, tmp_path, text):
+        # each once got a message about the rows, not the header that is at fault
+        f = tmp_path / "w.txt"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["solve-matching", str(f)], capsys)
+        head = text.splitlines()[0]
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {f}: first line must be 'N K' with N, K >= 1, got {head!r}\n"
+
     def test_more_than_16_servers_is_an_error(self, capsys, tmp_path):
         f = tmp_path / "w.txt"
         f.write_text("1 17\n" + " ".join(["1"] * 17) + "\n", encoding="utf-8")
@@ -297,18 +356,51 @@ class TestVerifyLemmas:
         assert err.startswith(f"error: cannot write {out_file}")
         assert "instances checked" not in out
 
+    @pytest.mark.parametrize("target", ["missing parent", "directory"])
+    def test_unwritable_out_fails_before_the_sweep(
+        self, capsys, tmp_path, monkeypatch, target
+    ):
+        calls = fake_sweep(monkeypatch)
+        if target == "directory":
+            out_file, code_of = tmp_path, errno.EISDIR
+        else:
+            out_file, code_of = tmp_path / "missing" / "report.txt", errno.ENOENT
+        code, out, err = run_cli(["verify-lemmas", "--out", str(out_file)], capsys)
+        assert code == 2
+        assert err == f"error: cannot write {out_file}: {os_error(code_of, out_file)}\n"
+        assert out == "" and calls == []
+
+    def test_rejected_range_creates_or_truncates_no_out_file(self, capsys, tmp_path):
+        out_file = tmp_path / "report.txt"
+        argv = ["verify-lemmas", "--max-n", "0", "--out", str(out_file)]
+        assert run_cli(argv, capsys)[0] == 2
+        assert not out_file.exists()
+        out_file.write_text("kept\n", encoding="utf-8")
+        assert run_cli(argv, capsys)[0] == 2
+        assert out_file.read_text(encoding="utf-8") == "kept\n"
+
     def test_exit_nonzero_when_a_violation_is_reported(self, capsys, monkeypatch):
-        from mwmlab import balance
-
-        def fake_sweep(max_n, max_k, max_x):
-            report = balance.LemmaSweepReport(max_n=max_n, max_k=max_k, max_x=max_x)
-            report.biconditional_violations.append("synthetic instance")
-            return report
-
-        monkeypatch.setattr(balance, "sweep_lemmas", fake_sweep)
+        calls = fake_sweep(monkeypatch, biconditional=["synthetic instance"])
         code, out, err = run_cli(["verify-lemmas"], capsys)
-        assert code == 1
+        assert code == 1 and calls == [(2, 2, 3)]
         assert "total violations: 1" in out
+
+
+def fake_sweep(monkeypatch, biconditional=()):
+    """Stand in for the sweep with a report that lists ``biconditional``.
+
+    Returns the list of the (max_n, max_k, max_x) of each call.
+    """
+    calls = []
+
+    def sweep(max_n, max_k, max_x):
+        calls.append((max_n, max_k, max_x))
+        report = balance.LemmaSweepReport(max_n=max_n, max_k=max_k, max_x=max_x)
+        report.violations["biconditional"].extend(biconditional)
+        return report
+
+    monkeypatch.setattr(balance, "sweep_lemmas", sweep)
+    return calls
 
 
 AUDIT_FLAGS = [
@@ -548,6 +640,34 @@ class TestSimulateFiles:
         )
         assert code == 2
         assert "MWMLAB_THREADS" in err
+
+    def test_negative_threads_env(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("MWMLAB_THREADS", "-1")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, "--out-dir", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert err == "error: MWMLAB_THREADS must be non-negative, got -1\n"
+        assert not out_dir.exists()
+
+    def test_zero_threads_means_one_per_cpu(self, monkeypatch):
+        monkeypatch.setenv("MWMLAB_THREADS", "0")
+        assert cli.worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli.worker_count() == 3
+        # os.cpu_count() is None where the count cannot be found
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli.worker_count() == 1
+
+    def test_unwritable_output_file_is_an_error(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.mkdir()
+        code, out, err = run_cli(
+            ["simulate", *SIM_FLAGS, "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert err == f"error: cannot write {trace}: {os_error(errno.EISDIR, trace)}\n"
 
 
 class TestClosedStdout:

@@ -424,25 +424,25 @@ def test_chunk_draws_are_narrow_and_exact(n, k, dtype, monkeypatch):
 def test_narrow_ranks_match_the_scalar_reference(n, k):
     # split-kernel runs whose unserviceable key N K is 127, the int8 limit,
     # and 144, past it, where with N > K the draw order decides which queues
-    # are served. Only without mwm, whose int64 keys widen the stack, do
-    # random_maximal's keys stay in the rank type, so that case steps the
-    # kernel alone on the ranks the engine reads, in the engine's rank type.
+    # are served. The kernel steps alone on the ranks the engine reads, in
+    # the engine's rank type, with mwm in as every config has it, and
+    # random_maximal's row is checked.
     cfg = shape_config(n, k, 30)
     reps = range(cfg.replications)
     expected = {p: [reference_run(cfg, p, r) for r in reps] for p in cfg.policies if p != "mwm"}
     paths = [SamplePath(cfg.params, cfg.seed, r, cfg.horizon) for r in reps]
     u = np.stack([path_uniforms(cfg.seed, r, STREAM_POLICY, cfg.horizon, n * k) for r in reps])
     ranks = engine._ranks(u).astype(np.int8 if n * k <= 127 else np.int16)
-    kernel = engine._SplitKernel(n, k, ("random_maximal",))
-    x = np.array([cfg.start_state()] * len(reps))[None]
+    kernel = engine._SplitKernel(n, k, ("mwm", "random_maximal"))
+    x = np.array([[cfg.start_state()] * len(reps)] * 2)
     for t in range(cfg.horizon):
         c = np.array([path.connectivity[t] for path in paths], dtype=bool)
         served = kernel(x, c, ranks[:, t])
-        weights = (x * served).sum(axis=2)[0].tolist()
+        weights = (x * served).sum(axis=2)[1].tolist()
         x = x - served + np.array([path.arrivals[t] for path in paths])
         for r in reps:
             states, mw = expected["random_maximal"][r]
-            assert x[0, r].tolist() == list(states[t + 1]) and weights[r] == mw[t]
+            assert x[1, r].tolist() == list(states[t + 1]) and weights[r] == mw[t]
     # with mwm in, the rows of the other three against the reference
     block = engine.simulate(cfg, reps, range(1, cfg.horizon + 1))
     for (i, policy), r in product(enumerate(cfg.policies), reps):
@@ -543,7 +543,7 @@ def test_rows_reach_the_dp_exactly_when_hall_fails(n, k, monkeypatch):
     x[2], c[2] = 0, True
     x[3], c[3] = 1, False
     hall = [True, False, True, True]
-    greedy = engine._SplitKernel(n, k, ("fixed_order",))(x[None].copy(), c, None)[0]
+    greedy = engine._SplitKernel(n, k, ("mwm", "fixed_order"))(np.stack([x, x]), c, None)[1]
     assert greedy[0].tolist() != [1, 1] + [0] * (n - 2)
     for row in range(len(x)):
         dp_rows = count_dp_rows(monkeypatch)

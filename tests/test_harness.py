@@ -25,7 +25,7 @@ from mwmlab.harness import (
     trace_csv_lines,
     write_lines,
 )
-from mwmlab import engine, harness
+from mwmlab import engine, harness, rng
 from reference import (
     COSTS,
     DETERMINISTIC_DECIDERS,
@@ -69,10 +69,10 @@ def trace_records(cfg, trace):
 def ccdf_rows(report, cost):
     """Rows (slot, threshold, policy, ccdf, ci_low, ci_high) of one cost, from the counts."""
     points = itertools.product(
-        report.sampled_slots, range(report.thresholds[cost]), report.policies
+        report.sampled_slots, range(report.thresholds[cost]), report.config.policies
     )
     for point, k in zip(points, report.counts[cost]):
-        yield (*point, k / report.replications, *report.intervals[k])
+        yield (*point, k / report.config.replications, *report.intervals[k])
 
 
 def make_config(**overrides):
@@ -130,6 +130,15 @@ class TestSimConfig:
         message = f"^{field} must be a sequence of names, not a string$"
         with pytest.raises(ValueError, match=message):
             make_config(**{field: value})
+
+    def test_cost_functions_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="^at least one cost function is required$"):
+            make_config(cost_functions=())
+
+    def test_replications_must_fit_the_stream_key(self):
+        make_config(replications=rng.REPLICATION_LIMIT)
+        with pytest.raises(ValueError, match="^replication count exceeds the stream key space$"):
+            make_config(replications=rng.REPLICATION_LIMIT + 1)
 
     def test_cost_functions_must_be_unique(self):
         with pytest.raises(ValueError, match="cost functions must be unique"):
@@ -441,6 +450,15 @@ class TestCoupledCompare:
         for policy in cfg.policies:
             assert report.stability[policy] == harness.StabilityCheck(0.0, 0.0, False)
         assert report.violations == ()
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_horizon_without_a_third_quarter_is_not_checked(self, horizon):
+        # (T//2, 3T//4] holds no slot at T = 1 or 2, so no growth is measured
+        cfg = make_config(params=SystemParams(3, 2, 0.5, 0.9), horizon=horizon)
+        report, trace = run_experiment(cfg)
+        assert trace.quarter_sums[:, 1].all()
+        for policy in cfg.policies:
+            assert report.stability[policy] == harness.StabilityCheck(0.0, 0.0, False)
 
     def test_full_connectivity_square_system_means_coincide(self):
         # with p=1 and as many servers as queues, the greedy baseline serves
