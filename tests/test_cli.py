@@ -276,7 +276,7 @@ class TestSolveMatching:
 
     @pytest.mark.parametrize("text", ["1 -2\n5 5\n", "-1 2\n5 5\n", "2 0\n"])
     def test_header_counts_below_one(self, capsys, tmp_path, text):
-        # each once got a message about the rows, not the header that is at fault
+        # the message names the header, the line at fault, not the rows
         f = tmp_path / "w.txt"
         f.write_text(text, encoding="utf-8")
         code, out, err = run_cli(["solve-matching", str(f)], capsys)
